@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -584,8 +583,7 @@ class ThreeStageResult:
     placements: tuple[tuple[int, int | None, bool], ...] = field(default_factory=tuple)
 
 
-def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig,
-                             *, stage1_workers: int = 1) -> ThreeStageResult:
+def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStageResult:
     n = game.n
     g = config.num_groups
     s = config.clique_size(n)
@@ -594,14 +592,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig,
     groups = GroupAssignment.round_robin(n, g).groups
     group_ledgers = [RevelationLedger(n) for _ in range(g)]
 
-    def stage1(j: int) -> tuple[PartialPartition, set[int]]:
-        return greedy_cliques(game, groups[j], s, tau, group_ledgers[j])
-
-    if stage1_workers > 1:
-        with ThreadPoolExecutor(max_workers=min(stage1_workers, g)) as pool:
-            stage1_out = list(pool.map(stage1, range(g)))
-    else:
-        stage1_out = [stage1(j) for j in range(g)]
+    stage1_out = [greedy_cliques(game, groups[j], s, tau, group_ledgers[j]) for j in range(g)]
 
     cliques = tuple(out[0] for out in stage1_out)
     rem1 = tuple(tuple(sorted(out[1])) for out in stage1_out)
@@ -726,9 +717,8 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     return Partition(n, final_blocks, _trusted=True), success
 
 
-def run_three_stage(game: HedonicGame, config: AlgoConfig,
-                    *, stage1_workers: int = 1
+def run_three_stage(game: HedonicGame, config: AlgoConfig
                     ) -> tuple[Partition, StageReport, RevelationLedger]:
     """Run all three stages; always returns a valid partition of every agent."""
-    res = run_three_stage_detailed(game, config, stage1_workers=stage1_workers)
+    res = run_three_stage_detailed(game, config)
     return res.partition, res.report, res.ledger

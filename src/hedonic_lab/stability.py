@@ -2,8 +2,12 @@
 
 Seven concepts are supported, all driven by single-agent deviations or by
 per-agent denial conditions.  ``check`` is the witness-producing reference
-implementation; ``concept_profile`` evaluates all seven at once with
-vectorized utility sums and is the hot path for Monte Carlo campaigns.
+implementation; ``concept_profile`` evaluates all seven at once and is the
+hot path for Monte Carlo campaigns.  It builds k x n favour masks from
+column-wise max/min over each block's rows, then takes the block sums in
+tiles of ``_TILE_ROWS`` agent rows, so its extra memory is O(k * n) and no
+n x n array is formed.  Each sum is one ``np.add.reduceat`` over the row's
+block-ordered entries, bit-identical to a single ``reduceat`` over the table.
 """
 from __future__ import annotations
 
@@ -31,6 +35,10 @@ __all__ = [
     "implied_concepts",
     "IMPLICATIONS",
 ]
+
+# Agent rows per block-sum tile of ``concept_profile`` (about 2 MB of float64 at
+# n = 4000), also the number of blocks per row gather in its favour masks.
+_TILE_ROWS = 64
 
 
 class Concept(enum.Enum):
@@ -145,8 +153,45 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     raise ValueError(f"unhandled concept {concept}")
 
 
+def _favour_masks(U: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                  block_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fin[j, a]``: some member of block j has a positive utility for a; ``fout``: negative.
+
+    Blocks of equal size m are stacked into a (blocks, m) member table, and
+    the column-wise max and min over their members' rows are taken with m
+    row gathers of at most ``_TILE_ROWS`` blocks each.  Max and min are exact
+    in any order, and the diagonal 0 never passes either strict test.
+    """
+    k, n = len(block_sizes), U.shape[0]
+    fin = np.empty((k, n), dtype=bool)
+    fout = np.empty((k, n), dtype=bool)
+    for m in np.unique(block_sizes):
+        ids = np.flatnonzero(block_sizes == m)
+        members = order[starts[ids][:, None] + np.arange(m)]
+        for c0 in range(0, len(ids), _TILE_ROWS):
+            rows = members[c0:c0 + _TILE_ROWS]
+            hi = U[rows[:, 0]]
+            lo = hi.copy()
+            for i in range(1, m):
+                nxt = U[rows[:, i]]
+                np.maximum(hi, nxt, out=hi)
+                np.minimum(lo, nxt, out=lo)
+            blk = ids[c0:c0 + _TILE_ROWS]
+            fin[blk] = hi > 0
+            fout[blk] = lo < 0
+    return fin, fout
+
+
 def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bool]:
-    """Evaluate all seven concepts at once (no witnesses, vectorized sums)."""
+    """Evaluate all seven concepts at once (no witnesses).
+
+    Block sums ``S[a, j]`` are taken in tiles of ``_TILE_ROWS`` agent rows by
+    ``np.add.reduceat`` over each row's block-ordered columns, so every sum
+    (and hence ``own`` and the best other block) is bit-identical to one
+    ``reduceat`` over the whole table.  Each tile's deviation masks are formed
+    against the k x n favour masks and reduced at once.  Extra memory is
+    O(k * n) booleans plus O(``_TILE_ROWS`` * n) floats; no n x n array is built.
+    """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
     U = game.utilities
@@ -157,38 +202,42 @@ def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bo
     block_sizes = np.bincount(labels, minlength=k)
     starts = np.zeros(k, dtype=np.intp)
     np.cumsum(block_sizes[:-1], out=starts[1:])
+    fin, fout = _favour_masks(U, order, starts, block_sizes)
 
-    ar = np.arange(n)
-    # S[a, j] = sum of a's utilities over block j (own diagonal contributes 0).
-    S = np.add.reduceat(U[:, order], starts, axis=1)
-    own = S[ar, labels]
-    S_other = S.copy()
-    S_other[ar, labels] = -np.inf
-    mx_other = S_other.max(axis=1) if k > 1 else np.full(n, -np.inf)
-    nonsingleton = block_sizes[labels] > 1
+    nash = individual = cns = cis = ir = enter = exit_ = True
+    for r0 in range(0, n, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, n)
+        ar = np.arange(r1 - r0)
+        lab = labels[r0:r1]
+        # S[a, j] = sum of a's utilities over block j (own diagonal contributes 0).
+        S = np.add.reduceat(U[r0:r1][:, order], starts, axis=1)
+        own = S[ar, lab]
+        S[ar, lab] = -np.inf  # now the other blocks only; max is -inf when k == 1
+        mx_other = S.max(axis=1)
+        own_fin = fin[lab, ar + r0]
+        leave = (block_sizes[lab] > 1) & (own < 0)  # strict gain as a new singleton
 
-    # fin[j, a]: some member of block j strictly favors a inside; fout: outside.
-    fin = np.add.reduceat((U > 0)[order, :], starts, axis=0) > 0
-    fout = np.add.reduceat((U < 0)[order, :], starts, axis=0) > 0
-    own_fin = fin[labels, ar]
+        enter_open = ~fout[:, r0:r1].T
+        enter_open[ar, lab] = False
+        nash_dev = (mx_other > own) | leave
+        is_dev = ((S > own[:, None]) & enter_open).any(axis=1) | leave
 
-    nash_dev = (mx_other > own) | (nonsingleton & (own < 0))
-    join_ok = S_other > own[:, None]  # strict gain per target block
-    is_dev = (join_ok & ~fout.T).any(axis=1) | (nonsingleton & (own < 0))
-    cns_dev = ~own_fin & nash_dev
-    cis_dev = ~own_fin & is_dev
-
-    enter_open = ~fout.T.copy()
-    enter_open[ar, labels] = False
+        nash = nash and not nash_dev.any()
+        individual = individual and not is_dev.any()
+        cns = cns and not (nash_dev & ~own_fin).any()
+        cis = cis and not (is_dev & ~own_fin).any()
+        ir = ir and bool((own >= 0).all())
+        enter = enter and not enter_open.any()
+        exit_ = exit_ and bool(own_fin.all())
 
     return {
-        Concept.NASH: not nash_dev.any(),
-        Concept.INDIVIDUAL: not is_dev.any(),
-        Concept.CONTRACTUAL_NASH: not cns_dev.any(),
-        Concept.CONTRACTUAL_INDIVIDUAL: not cis_dev.any(),
-        Concept.INDIVIDUALLY_RATIONAL: bool((own >= 0).all()),
-        Concept.ENTER_DENIED: not enter_open.any(),
-        Concept.EXIT_DENIED: bool(own_fin.all()),
+        Concept.NASH: nash,
+        Concept.INDIVIDUAL: individual,
+        Concept.CONTRACTUAL_NASH: cns,
+        Concept.CONTRACTUAL_INDIVIDUAL: cis,
+        Concept.INDIVIDUALLY_RATIONAL: ir,
+        Concept.ENTER_DENIED: enter,
+        Concept.EXIT_DENIED: exit_,
     }
 
 

@@ -296,15 +296,14 @@ class TestRunThreeStage:
             assert sum(report.coalition_size_histogram.values()) == len(partition)
             assert sum(s * c for s, c in report.coalition_size_histogram.items()) == n
 
-    def test_determinism_and_worker_independence(self):
+    def test_determinism(self):
         cfg = AlgoConfig(num_groups=4, compat_constant=2.0)
         g = sample_game(400, D, SeedSpec(999))
         out1 = run_three_stage(g, cfg)
         out2 = run_three_stage(g, cfg)
-        out3 = run_three_stage(g, cfg, stage1_workers=4)
-        assert out1[0] == out2[0] == out3[0]
-        assert out1[1] == out2[1] == out3[1]
-        assert out1[2] == out2[2] == out3[2]
+        assert out1[0] == out2[0]
+        assert out1[1] == out2[1]
+        assert out1[2] == out2[2]
 
     def test_small_n_degenerate_but_valid(self):
         cfg = AlgoConfig(num_groups=4, clique_size_rule=lambda n: 2)

@@ -13,6 +13,7 @@ from hedonic_lab.games import (
 )
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 from hedonic_lab.stability import (
+    _TILE_ROWS,
     Concept,
     Verdict,
     check,
@@ -149,6 +150,91 @@ class TestProfileAgainstReference:
             for concept in (Concept.NASH, Concept.INDIVIDUAL,
                             Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
                 assert check(g, p, concept).stable == brute_force_check(g, p, concept)
+
+
+class TestProfileAcrossTiles:
+    """``concept_profile`` against ``check`` on a game spanning three row tiles.
+
+    The base game makes the partition Nash-stable (positive utilities inside
+    blocks, negative across), and each case plants one violation at one agent:
+    the first agent of the second tile or one in the last, partial tile.
+    """
+
+    N = 2 * _TILE_ROWS + 17
+    PLANTED_AGENTS = (_TILE_ROWS, 2 * _TILE_ROWS + 9)
+
+    @staticmethod
+    def labels(shape, n):
+        if shape == "grand":
+            return np.zeros(n, dtype=np.int64)
+        if shape == "singletons":
+            return np.arange(n)
+        # One large block, 15 blocks of 5 and singletons, agents shuffled.
+        sizes = [40] + [5] * 15 + [1] * (n - 115)
+        blocks = np.repeat(np.arange(len(sizes)), sizes)
+        return blocks[np.random.default_rng(21).permutation(n)]
+
+    @staticmethod
+    def base_utilities(labels):
+        rng = np.random.default_rng(22)
+        n = len(labels)
+        mag = rng.uniform(0.1, 1.0, size=(n, n))
+        arr = np.where(labels[:, None] == labels[None, :], mag, -mag)
+        np.fill_diagonal(arr, 0.0)
+        return arr
+
+    @staticmethod
+    def plant(arr, labels, a, concept):
+        """Make ``concept`` fail at agent ``a``; return False where the shape rules that out."""
+        own = labels == labels[a]
+        own[a] = False
+        others = np.flatnonzero(labels != labels[a])
+        target = labels == labels[others[-1]] if len(others) else None
+        if concept is Concept.INDIVIDUALLY_RATIONAL:
+            arr[a, own] = -1.0
+            return bool(own.any())
+        if concept is Concept.ENTER_DENIED:
+            if target is None:
+                return False
+            arr[target, a] = 0.5
+            return True
+        if concept is Concept.EXIT_DENIED:
+            arr[own, a] = -0.5
+            return True
+        # Deviation concepts: a gains by joining the target block (or by leaving
+        # the grand coalition), with the consent each concept asks for.
+        if target is None:
+            arr[a, own] = -1.0
+        else:
+            arr[a, target] = (arr[a, own].sum() + 1.0) / target.sum()
+            if concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL):
+                arr[target, a] = 0.5
+        if concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
+            arr[own, a] = -0.5
+        return True
+
+    @pytest.mark.parametrize("shape", ["mixed", "grand", "singletons"])
+    def test_base_partition_is_nash_stable(self, shape):
+        labels = self.labels(shape, self.N)
+        g = HedonicGame(self.base_utilities(labels))
+        p = Partition.from_labels(labels)
+        prof = concept_profile(g, p)
+        assert prof[Concept.NASH]
+        assert prof == {c: check(g, p, c).stable for c in Concept}
+
+    @pytest.mark.parametrize("shape", ["mixed", "grand", "singletons"])
+    @pytest.mark.parametrize("agent", PLANTED_AGENTS)
+    @pytest.mark.parametrize("concept", list(Concept), ids=lambda c: c.value)
+    def test_planted_violation(self, shape, agent, concept):
+        labels = self.labels(shape, self.N)
+        arr = self.base_utilities(labels)
+        feasible = self.plant(arr, labels, agent, concept)
+        g = HedonicGame(arr)
+        p = Partition.from_labels(labels)
+        expected = {c: check(g, p, c).stable for c in Concept}
+        if feasible:
+            assert not expected[concept]
+        assert concept_profile(g, p) == expected
 
 
 class TestImpliedConcepts:
