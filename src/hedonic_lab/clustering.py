@@ -615,7 +615,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     stage2_success = (stage1_success and balanced
                       and len(all_remainder) <= config.stage2_cap(n))
 
-    # Stage 3 trace: rerun the placement bookkeeping to capture per-agent flags.
+    # Stage 3, run once: place the remainder and record each agent's placement.
     placements: list[tuple[int, int | None, bool]] = []
     partition, stage3_success = _complete_with_trace(game, merged, all_remainder,
                                                      ledger, placements)

@@ -1,7 +1,8 @@
 """Exhaustive ground truth for small games.
 
-Set partitions are enumerated as restricted growth strings with in-place
-mutation and copy-on-yield, so the hot loop is allocation-free.  Counting uses
+Set partitions are enumerated as restricted growth strings.  ``rgs_strings``
+mutates one list in place and allocates nothing per string;
+``enumerate_partitions`` builds one ``Partition`` per yield.  Counting uses
 exact integer arithmetic throughout.
 """
 from __future__ import annotations

@@ -22,9 +22,6 @@ from .games import (
     NEW_SINGLETON,
     Partition,
     PartitionError,
-    coalition_utility,
-    favor_in,
-    favor_out,
 )
 
 __all__ = [
@@ -62,15 +59,6 @@ class Concept(enum.Enum):
         raise ValueError(f"unknown concept {name!r}")
 
 
-# Deviation-based concepts, in contrast to the per-agent denial conditions.
-_DEVIATION_CONCEPTS = frozenset({
-    Concept.NASH,
-    Concept.INDIVIDUAL,
-    Concept.CONTRACTUAL_NASH,
-    Concept.CONTRACTUAL_INDIVIDUAL,
-})
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a stability check; a witness is present iff unstable.
@@ -88,69 +76,54 @@ class Verdict:
             raise ValueError("stable verdicts carry no witness, unstable ones must")
 
 
-def _deviation_blocks(game: HedonicGame, partition: Partition, concept: Concept,
-                      dev: Deviation) -> bool:
-    """Whether ``dev`` is an admissible strictly-improving deviation under ``concept``."""
-    a = dev.agent
-    own = partition.coalition_of(a)
-    current = coalition_utility(game, a, own)
-    if dev.target is NEW_SINGLETON:
-        gain = 0.0 > current
-        consent_out = True  # an empty coalition has nobody to object
-    else:
-        target = partition.coalitions[dev.target]
-        gain = coalition_utility(game, a, target) > current
-        consent_out = not favor_out(game, target, a)
-    if not gain:
-        return False
-    if concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL) and not consent_out:
-        return False
-    if concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
-        if favor_in(game, own, a):
-            return False
-    return True
-
-
 def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     """Decide ``concept`` for the pair, returning the first witness when it fails.
 
     Witness order is deterministic: lowest agent id first, then lowest target
-    coalition index, with the fresh-singleton move last.
+    coalition index, with the fresh-singleton move last.  One pass per agent
+    reads its utility row (and, where favour sets matter, its column) once as
+    Python floats.  Each coalition sum adds the members in coalition order from
+    0, exactly as ``coalition_utility`` does, so every sum and every strict
+    comparison is the same as the definition's.
     """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
-    if concept in _DEVIATION_CONCEPTS:
-        for a in range(game.n):
-            own_idx = partition.index_of(a)
-            for j in range(len(partition)):
-                if j == own_idx:
-                    continue
-                dev = Deviation(a, j)
-                if _deviation_blocks(game, partition, concept, dev):
-                    return Verdict(False, dev)
-            if len(partition.coalition_of(a)) > 1:
-                dev = Deviation(a, NEW_SINGLETON)
-                if _deviation_blocks(game, partition, concept, dev):
-                    return Verdict(False, dev)
-        return Verdict(True)
-    if concept is Concept.INDIVIDUALLY_RATIONAL:
-        for a in range(game.n):
-            if coalition_utility(game, a, partition.coalition_of(a)) < 0:
-                return Verdict(False, (a, partition.index_of(a)))
-        return Verdict(True)
-    if concept is Concept.ENTER_DENIED:
-        for a in range(game.n):
-            own_idx = partition.index_of(a)
-            for j, block in enumerate(partition.coalitions):
-                if j != own_idx and not favor_out(game, block, a):
+    if not isinstance(concept, Concept):
+        raise ValueError(f"unhandled concept {concept}")
+    U = game.utilities
+    blocks = partition.coalitions
+    needs_consent = concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL)
+    contractual = concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL)
+    favours = concept not in (Concept.NASH, Concept.INDIVIDUALLY_RATIONAL)
+    for a in range(game.n):
+        own_idx = partition.index_of(a)
+        own = blocks[own_idx]
+        col = U[:, a].tolist() if favours else None
+        if concept is Concept.EXIT_DENIED:
+            if not any(col[b] > 0 for b in own if b != a):
+                return Verdict(False, (a, own_idx))
+            continue
+        if concept is Concept.ENTER_DENIED:
+            for j, block in enumerate(blocks):
+                if j != own_idx and not any(col[b] < 0 for b in block):
                     return Verdict(False, (a, j))
-        return Verdict(True)
-    if concept is Concept.EXIT_DENIED:
-        for a in range(game.n):
-            if not favor_in(game, partition.coalition_of(a), a):
-                return Verdict(False, (a, partition.index_of(a)))
-        return Verdict(True)
-    raise ValueError(f"unhandled concept {concept}")
+            continue
+        # An own-coalition member who wants a to stay vetoes every move alike.
+        if contractual and any(col[b] > 0 for b in own if b != a):
+            continue
+        row = U[a].tolist()
+        current = float(sum(row[b] for b in own if b != a))
+        if concept is Concept.INDIVIDUALLY_RATIONAL:
+            if current < 0:
+                return Verdict(False, (a, own_idx))
+            continue
+        for j, block in enumerate(blocks):
+            if (j != own_idx and sum(row[b] for b in block) > current
+                    and not (needs_consent and any(col[b] < 0 for b in block))):
+                return Verdict(False, Deviation(a, j))
+        if len(own) > 1 and 0.0 > current:
+            return Verdict(False, Deviation(a, NEW_SINGLETON))
+    return Verdict(True)
 
 
 def _favour_masks(U: np.ndarray, order: np.ndarray, starts: np.ndarray,

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedonic_lab.games import HedonicGame, Partition
+from hedonic_lab.games import (
+    HedonicGame,
+    Partition,
+    coalition_utility,
+    favor_in,
+    favor_out,
+)
 from hedonic_lab.oracle import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
@@ -142,3 +148,51 @@ class TestGuaranteedConcepts:
             cis = count_stable(g, Concept.CONTRACTUAL_INDIVIDUAL)
             assert ns <= ind <= cis
             assert ns <= cns <= cis
+
+
+def _stable_by_definition(game, partition, concept):
+    """Stability straight from the definitions, without ``stability.check``."""
+    blocks = partition.coalitions
+    for a in range(game.n):
+        i = partition.index_of(a)
+        own = blocks[i]
+        current = coalition_utility(game, a, own)
+        others = [blk for j, blk in enumerate(blocks) if j != i]
+        kept = bool(favor_in(game, own, a))
+        if concept is Concept.INDIVIDUALLY_RATIONAL:
+            fails = current < 0
+        elif concept is Concept.EXIT_DENIED:
+            fails = not kept
+        elif concept is Concept.ENTER_DENIED:
+            fails = any(not favor_out(game, blk, a) for blk in others)
+        else:
+            # (value, admitted) for every move; the fresh singleton admits anyone.
+            moves = [(coalition_utility(game, a, blk), not favor_out(game, blk, a))
+                     for blk in others]
+            if len(own) > 1:
+                moves.append((0.0, True))
+            if concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL):
+                moves = [m for m in moves if m[1]]
+            if concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL) and kept:
+                moves = []
+            fails = any(value > current for value, _ in moves)
+        if fails:
+            return False
+    return True
+
+
+class TestOracleAgainstDefinition:
+    """Exact counts and first stable partitions on games full of ties."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_count_and_first_match_definition(self, n):
+        rng = np.random.default_rng(8800 + n)
+        for _ in range(3):
+            arr = rng.integers(-2, 3, size=(n, n)).astype(float)
+            np.fill_diagonal(arr, 0.0)
+            g = HedonicGame(arr)
+            partitions = list(enumerate_partitions(n))
+            for concept in Concept:
+                stable = [p for p in partitions if _stable_by_definition(g, p, concept)]
+                assert count_stable(g, concept) == len(stable), concept
+                assert exists_stable(g, concept) == (stable[0] if stable else None), concept

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hedonic_lab.games import (
     favor_in,
     favor_out,
 )
+from hedonic_lab.oracle import enumerate_partitions
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 from hedonic_lab.stability import (
     _TILE_ROWS,
@@ -25,8 +28,38 @@ RUN_AND_CHASE = HedonicGame([[0.0, -1.0], [1.0, 0.0]])
 D = UtilityDistribution(-1, 1)
 
 
-def brute_force_check(game, partition, concept):
-    """Definitional re-derivation from raw deviations and favor sets."""
+def integer_game(n, seed):
+    """Utilities drawn from {-2..2}: exact ties and zero sums are common."""
+    arr = np.random.default_rng(seed).integers(-2, 3, size=(n, n)).astype(float)
+    np.fill_diagonal(arr, 0.0)
+    return HedonicGame(arr)
+
+
+def first_witness(game, partition, concept):
+    """Definitional re-derivation of ``check``'s witness (None when stable).
+
+    Deviation concepts walk ``enumerate_deviations`` and return the first move
+    that strictly improves the agent with the consent the concept asks for;
+    the denial concepts return the first ``(agent, coalition)`` pair, agent
+    ascending, then coalition index ascending.
+    """
+    blocks = partition.coalitions
+    if concept is Concept.INDIVIDUALLY_RATIONAL:
+        for a in range(game.n):
+            if coalition_utility(game, a, partition.coalition_of(a)) < 0:
+                return (a, partition.index_of(a))
+        return None
+    if concept is Concept.ENTER_DENIED:
+        for a in range(game.n):
+            for j, block in enumerate(blocks):
+                if j != partition.index_of(a) and not favor_out(game, block, a):
+                    return (a, j)
+        return None
+    if concept is Concept.EXIT_DENIED:
+        for a in range(game.n):
+            if not favor_in(game, partition.coalition_of(a), a):
+                return (a, partition.index_of(a))
+        return None
     for dev in enumerate_deviations(game, partition):
         a = dev.agent
         own = partition.coalition_of(a)
@@ -34,21 +67,21 @@ def brute_force_check(game, partition, concept):
         if dev.target is NEW_SINGLETON:
             new_val, consent_out = 0.0, True
         else:
-            target = partition.coalitions[dev.target]
+            target = blocks[dev.target]
             new_val = coalition_utility(game, a, target)
             consent_out = len(favor_out(game, target, a)) == 0
         if new_val <= current:
             continue
         consent_in = len(favor_in(game, own, a)) == 0
         if concept is Concept.NASH:
-            return False
+            return dev
         if concept is Concept.INDIVIDUAL and consent_out:
-            return False
+            return dev
         if concept is Concept.CONTRACTUAL_NASH and consent_in:
-            return False
+            return dev
         if concept is Concept.CONTRACTUAL_INDIVIDUAL and consent_out and consent_in:
-            return False
-    return True
+            return dev
+    return None
 
 
 class TestRunAndChase:
@@ -129,6 +162,23 @@ class TestWitnessValidity:
                     assert not favor_in(g, p.coalition_of(a), a)
 
 
+class TestWitnessOrder:
+    """``check`` returns exactly the first witness of the documented order."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_witness_on_every_partition(self, kind, n):
+        for seed in range(3):
+            if kind == "uniform":
+                g = sample_game(n, D, SeedSpec(7100 + seed))
+            else:
+                g = integer_game(n, 7200 + 10 * n + seed)
+            for p in enumerate_partitions(n):
+                for concept in Concept:
+                    assert check(g, p, concept).witness == first_witness(g, p, concept), (
+                        f"{concept} on {p}")
+
+
 class TestProfileAgainstReference:
     def test_profile_matches_check_on_random_pairs(self):
         rng = np.random.default_rng(3)
@@ -149,7 +199,7 @@ class TestProfileAgainstReference:
             p = Partition.from_labels(rng.integers(0, n, size=n))
             for concept in (Concept.NASH, Concept.INDIVIDUAL,
                             Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
-                assert check(g, p, concept).stable == brute_force_check(g, p, concept)
+                assert check(g, p, concept).stable == (first_witness(g, p, concept) is None)
 
 
 class TestProfileAcrossTiles:
@@ -235,6 +285,47 @@ class TestProfileAcrossTiles:
         if feasible:
             assert not expected[concept]
         assert concept_profile(g, p) == expected
+
+
+class TestCheckMemory:
+    """``check`` reads one row or column at a time, never the whole table.
+
+    A copy of the table as Python floats would take ~70 MB at n = 1500.  The
+    base game (positive utilities inside blocks, negative across) is stable
+    for all seven concepts; agent ``PLANTED`` is then made to fail each of
+    them, which keeps the scans short under ``tracemalloc``.
+    """
+
+    N = 1500
+    PLANTED = 50
+    PEAK_BYTES = 4 * 2**20
+
+    def test_check_memory_and_verdicts_at_n1500(self):
+        rng = np.random.default_rng(31)
+        labels = rng.integers(0, 60, size=self.N)
+        mag = rng.uniform(0.1, 1.0, size=(self.N, self.N))
+        arr = np.where(labels[:, None] == labels[None, :], mag, -mag)
+        np.fill_diagonal(arr, 0.0)
+        a = self.PLANTED
+        own = np.flatnonzero(labels == labels[a])
+        own = own[own != a]
+        arr[a, own] = -1.0  # a would rather be alone: fails IR and every deviation concept
+        arr[own, a] = -0.5  # nobody keeps a: fails exit-denied, lifts the contractual veto
+        arr[labels == labels[a] + 1, a] = 0.5  # nobody refuses a: fails enter-denied
+        g, p = HedonicGame(arr), Partition.from_labels(labels)
+        del arr, mag
+        prof = concept_profile(g, p)
+        tracemalloc.start()
+        try:
+            for concept in Concept:
+                tracemalloc.reset_peak()
+                verdict = check(g, p, concept)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < self.PEAK_BYTES, f"{concept}: {peak} bytes"
+                assert verdict.stable == prof[concept], concept
+                assert not verdict.stable
+        finally:
+            tracemalloc.stop()
 
 
 class TestImpliedConcepts:
