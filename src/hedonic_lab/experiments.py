@@ -9,6 +9,7 @@ vectorized over trial batches.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import time
@@ -235,34 +236,63 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # ------------------------------------------------------- ORACLE_EXISTENCE ----
 
+def _nash_stable(best: np.ndarray, own: np.ndarray, singleton: np.ndarray | bool) -> np.ndarray:
+    """Nash test from block sums, reduced over the last (agent) axis.
+
+    ``best`` is each agent's largest sum over *all* blocks, its own included,
+    so ``best <= own`` says no other block is better; ``own >= 0`` says it
+    would not rather be alone, which binds only outside singletons.
+    """
+    return ((best <= own) & ((own >= 0) | singleton)).all(axis=-1)
+
+
+# Restricted growth strings read from ``rgs_strings`` per table slice, and
+# float64 elements per block-sum chunk (partitions × blocks × games × agents):
+# slices and chunks stay well under 1 MB whatever n and the batch size.
+_RGS_ROWS = 1 << 14
+_CHUNK = 1 << 15
+
+
 def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
     """For a stacked game batch (T, n, n), decide per game and per block count k
     whether some partition into exactly k coalitions is Nash-stable.
 
     Exhaustive over all set partitions; returns a boolean array of shape
-    (T, n + 1) indexed by k (entry 0 unused).
+    (T, n + 1) indexed by k (entry 0 unused).  Partitions are read from
+    ``rgs_strings`` in table slices and tested many per NumPy call, grouped by
+    block count.  Each block sum starts at 0.0 and adds its members in
+    ascending order, the order ``check`` sums in.
     """
     T, n, n2 = games.shape
     if n != n2:
         raise ValueError("games must be square")
-    games2 = games.reshape(T * n, n)
     exists = np.zeros((T, n + 1), dtype=bool)
-    ar = np.arange(n)
-    for labels in rgs_strings(n):
-        lab = np.asarray(labels, dtype=np.intp)
-        k = int(max(labels)) + 1
-        M = np.zeros((n, k))
-        M[ar, lab] = 1.0
-        S = (games2 @ M).reshape(T, n, k)
-        own = S[:, ar, lab].copy()
-        S[:, ar, lab] = -np.inf
-        mx = S.max(axis=2)
-        sizes = np.bincount(lab, minlength=k)
-        nonsingleton = sizes[lab] > 1
-        ok = ((mx <= own).all(axis=1)
-              & ((own >= 0) | ~nonsingleton).all(axis=1))
-        exists[ok, k] = True
-    return exists
+    if T == 0:
+        return exists
+    # cols[b] holds u_a(b) for every (game, agent) pair, agent fastest.
+    cols = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, T * n)
+    flat_agent = np.arange(T * n).reshape(T, n)
+    strings = itertools.chain.from_iterable(rgs_strings(n))
+    while True:
+        table = np.fromiter(itertools.islice(strings, _RGS_ROWS * n), np.int8).reshape(-1, n)
+        if not len(table):
+            return exists
+        counts = table.max(axis=1) + 1
+        for k in np.unique(counts).tolist():
+            rows = table[counts == k]
+            step = max(1, _CHUNK // (k * T * n))
+            for p0 in range(0, len(rows), step):
+                lab = rows[p0:p0 + step]
+                P = len(lab)
+                # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
+                block_row = np.arange(P)[:, None] * k + lab
+                S = np.zeros((P * k, T * n))
+                for b in range(n):
+                    S[block_row[:, b]] += cols[b]
+                own = S[block_row[:, None, :], flat_agent]
+                best = S.reshape(P, k, T, n).max(axis=1)
+                singleton = np.bincount(block_row.ravel(), minlength=P * k)[block_row] == 1
+                exists[:, k] |= _nash_stable(best, own, singleton[:, None, :]).any(axis=0)
 
 
 def nash_k_bound(n: int, k: int) -> float:
@@ -428,11 +458,7 @@ def fixed_shape_ns_successes(n: int, k: int, trials: int, dist: UtilityDistribut
         batch = dist.sample(rng, (b, n, n))
         batch[:, ar, ar] = 0.0
         S = (batch.reshape(b * n, n) @ M).reshape(b, n, k)
-        own = S[:, ar, lab].copy()
-        S[:, ar, lab] = -np.inf
-        mx = S.max(axis=2)
-        ns = (mx <= own).all(axis=1) & (own >= 0).all(axis=1)
-        successes += int(ns.sum())
+        successes += int(_nash_stable(S.max(axis=2), S[:, ar, lab], False).sum())
         done += b
     return successes
 

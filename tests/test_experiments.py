@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hedonic_lab import experiments as experiments_mod
 from hedonic_lab.clustering import AlgoConfig
 from hedonic_lab.experiments import (
     Campaign,
@@ -22,7 +24,7 @@ from hedonic_lab.experiments import (
     WILSON_Z,
 )
 from hedonic_lab.games import HedonicGame, Partition
-from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions
+from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions, stirling2
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 from hedonic_lab.stability import Concept, check, implied_concepts
 
@@ -120,13 +122,64 @@ class TestOracleExistence:
         games = np.empty((T, n, n))
         for t in range(T):
             games[t] = sample_game(n, D, SeedSpec(7000 + t)).utilities
-        ex = nash_existence_by_k(games)
+        assert np.array_equal(nash_existence_by_k(games), self.reference_by_k(games))
+
+    @staticmethod
+    def reference_by_k(games: np.ndarray) -> np.ndarray:
+        T, n, _ = games.shape
+        ref = np.zeros((T, n + 1), dtype=bool)
         for t in range(T):
             g = HedonicGame(games[t])
             for k in range(1, n + 1):
-                truth = any(check(g, p, Concept.NASH).stable
-                            for p in enumerate_partitions(n, k=k))
-                assert ex[t, k] == truth
+                ref[t, k] = any(check(g, p, Concept.NASH).stable
+                                for p in enumerate_partitions(n, k=k))
+        return ref
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_engine_matches_reference_on_integer_games(self, n, monkeypatch):
+        # Utilities in {-2..2}: exact ties and zero sums at every block count.
+        rng = np.random.default_rng(500 + n)
+        games = rng.integers(-2, 3, size=(30, n, n)).astype(float)
+        games[:, np.arange(n), np.arange(n)] = 0.0
+        ref = self.reference_by_k(games)
+        assert np.array_equal(nash_existence_by_k(games), ref)
+        # Short table slices split every block count across several of them.
+        monkeypatch.setattr(experiments_mod, "_RGS_ROWS", 7)
+        assert np.array_equal(nash_existence_by_k(games), ref)
+
+    def test_engine_matches_reference_across_chunks(self):
+        # Each middle k spans several block-sum chunks, so a chunk that
+        # overwrote rather than OR-ed the earlier chunks' verdicts would show.
+        T, n = 60, 8
+        for k in (2, 3, 4, 5):
+            per_chunk = max(1, experiments_mod._CHUNK // (k * T * n))
+            assert stirling2(n, k) >= 3 * per_chunk
+        games = np.stack([sample_game(n, D, SeedSpec(7100 + t)).utilities for t in range(T)])
+        ex = nash_existence_by_k(games)
+        assert np.array_equal(ex, self.reference_by_k(games))
+        assert ex[:, 2:6].sum() >= 5
+
+    def test_engine_edge_cases(self):
+        empty = nash_existence_by_k(np.zeros((0, 4, 4)))
+        assert empty.shape == (0, 5) and empty.dtype == bool
+        single = nash_existence_by_k(np.zeros((3, 1, 1)))
+        assert single.tolist() == [[False, True]] * 3
+        with pytest.raises(ValueError):
+            nash_existence_by_k(np.zeros((2, 3, 4)))
+
+    def test_engine_memory_at_n9(self):
+        # All 21,147 partitions of 200 games at once would take ~2.7 GB.
+        games = np.stack([sample_game(9, D, SeedSpec(7300 + t)).utilities for t in range(200)])
+        tracemalloc.start()
+        try:
+            ex = nash_existence_by_k(games)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak} bytes"
+        flags = grand_coalition_flags(games)
+        assert np.array_equal(ex[:, 1], flags["grand-ns"])
+        assert np.array_equal(ex[:, 9], flags["singleton-ns"])
 
     def test_cis_always_exists(self):
         campaign = Campaign(kind=CampaignKind.ORACLE_EXISTENCE, n_values=(4, 5),
