@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .games import HedonicGame, PartialPartition, Partition, PartitionError
+from .games import HedonicGame, InvalidAgentError, PartialPartition, Partition, PartitionError
 
 __all__ = [
     "DEFAULT_MERGE_FAILURE_EXPONENT",
@@ -148,7 +148,24 @@ class ValueClass(enum.Enum):
     RAW = "raw"
 
 
-_STAGE1_CLASSES = (ValueClass.BELOW_TAU, ValueClass.AT_LEAST_TAU)
+# Ledger codes; 0 is an unseen pair.
+_BELOW, _AT_LEAST, _STAGE2, _STAGE3 = 1, 2, 3, 4
+_DECODE = (None, (1, ValueClass.BELOW_TAU), (1, ValueClass.AT_LEAST_TAU),
+           (2, ValueClass.RAW), (3, ValueClass.RAW))
+_ENCODE = {entry: code for code, entry in enumerate(_DECODE) if entry is not None}
+_STAGE_CODES = {1: (_BELOW, _AT_LEAST), 2: (_STAGE2,), 3: (_STAGE3,)}
+
+
+def _cross_keys(sources: list[np.ndarray], targets: list[np.ndarray], n: int) -> np.ndarray:
+    """Flat keys ``src * n + dst`` of the union of the blocks sources[i] x targets[i]."""
+    n_src = np.fromiter(map(len, sources), dtype=np.intp, count=len(sources))
+    n_tgt = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
+    row_len = np.repeat(n_tgt, n_src)  # one row of keys per source id
+    row_start = np.cumsum(row_len) - row_len
+    first_tgt = np.repeat(np.cumsum(n_tgt) - n_tgt, n_src)
+    src_part = np.repeat(np.concatenate(sources) * n, row_len)
+    tgt_pos = np.arange(src_part.size) + np.repeat(first_tgt - row_start, row_len)
+    return src_part + np.concatenate(targets)[tgt_pos]
 
 
 class RevelationLedger:
@@ -158,147 +175,170 @@ class RevelationLedger:
     examines it: re-reading an already revealed value changes no conditional
     distribution, so later stages do not overwrite.
 
-    Stage-1/2 entries live in a keyed map; stage-3 observations (one agent
-    examining whole coalitions) are kept as per-agent target sets and shadowed
-    by any earlier entry for the same pair.
+    The ledger is one n x n ``int8`` code matrix: 0 unseen, 1 and 2 a stage-1
+    observation below / at least the threshold, 3 a stage-2 and 4 a stage-3
+    raw observation.  Writes are queued, as flat keys ``src * n + dst`` or as
+    cross products of agent ids, in runs of one code; before anything reads
+    the matrix the runs are applied in queue order, each as one fancy-indexed
+    ``where(cur == 0, code, cur)``, so the first writer still wins.
+    ``entries()`` yields in row-major key order, and ``==`` compares the
+    effective codes.
     """
 
-    __slots__ = ("n", "_entries", "_stage2_partners", "_stage3_targets")
+    __slots__ = ("n", "_codes", "_queue")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._entries: dict[int, tuple[int, ValueClass]] = {}
-        self._stage2_partners: dict[int, set[int]] = {}
-        self._stage3_targets: dict[int, set[int]] = {}
+        self._codes = np.zeros((n, n), dtype=np.int8)
+        # Runs of (code, flat-key arrays, cross-product sources, targets).
+        self._queue: list[tuple[int, list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = []
+
+    def _agents(self, agents: Iterable[int]) -> np.ndarray:
+        """Agent ids as an index array, each checked to lie in 0..n-1."""
+        if isinstance(agents, (np.ndarray, list, tuple)):
+            arr = np.asarray(agents, dtype=np.intp).reshape(-1)
+        else:
+            arr = np.fromiter(agents, dtype=np.intp)
+        # Negative ids wrap to huge unsigned values, so one bound covers both ends.
+        if arr.size and arr.view(np.uintp).max() >= self.n:
+            bad = arr[(arr < 0) | (arr >= self.n)][0]
+            raise InvalidAgentError(f"agent id {bad} outside 0..{self.n - 1}")
+        return arr
+
+    def _run(self, code: int):
+        queue = self._queue
+        if not queue or queue[-1][0] != code:
+            queue.append((code, [], [], []))
+        return queue[-1]
+
+    def _enqueue(self, keys: np.ndarray, code: int) -> None:
+        """Queue flat keys of valid agent pairs."""
+        self._run(code)[1].append(keys)
+
+    def _enqueue_block(self, src: np.ndarray, tgt: np.ndarray, code: int) -> None:
+        """Queue the cross product src x tgt of valid agent ids."""
+        _code, _keys, sources, targets = self._run(code)
+        sources.append(src)
+        targets.append(tgt)
+
+    def _flush(self) -> np.ndarray:
+        """Apply every queued run in order; first writer wins per pair."""
+        flat = self._codes.reshape(-1)
+        for code, keys, sources, targets in self._queue:
+            if sources:
+                keys.append(_cross_keys(sources, targets, self.n))
+            k = keys[0] if len(keys) == 1 else np.concatenate(keys)
+            cur = flat[k]
+            flat[k] = np.where(cur == 0, code, cur)
+        self._queue.clear()
+        return self._codes
 
     def record(self, stage: int, src: int, dst: int, value_class: ValueClass) -> bool:
-        """Record one examined entry; returns False if the pair was already revealed."""
-        if stage == 1:
-            if value_class not in _STAGE1_CLASSES:
-                raise ValueError("stage-1 entries must be threshold observations")
-        elif stage in (2, 3):
-            if value_class is not ValueClass.RAW:
-                raise ValueError("stage-2/3 entries must be raw observations")
-        else:
-            raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-        key = src * self.n + dst
-        if key in self._entries:
+        """Record one examined entry; returns False if the pair was already revealed.
+
+        Stage-1 entries are threshold observations, stage-2/3 entries raw ones.
+        """
+        code = _ENCODE.get((stage, value_class))
+        if code is None:
+            raise ValueError(f"stage {stage} cannot record a {value_class} observation")
+        self._agents((src, dst))
+        codes = self._flush()
+        if codes[src, dst]:
             return False
-        if stage == 3:
-            targets = self._stage3_targets.setdefault(src, set())
-            if dst in targets:
-                return False
-            targets.add(dst)
-            return True
-        if src in self._stage3_targets and dst in self._stage3_targets[src]:
-            return False
-        self._entries[key] = (stage, value_class)
-        if stage == 2:
-            self._stage2_partners.setdefault(src, set()).add(dst)
-            self._stage2_partners.setdefault(dst, set()).add(src)
+        codes[src, dst] = code
         return True
 
     def record_block(self, stage: int, sources: Iterable[int], targets: Iterable[int]) -> None:
         """Bulk-record the raw cross product sources x targets for stage 2 or 3."""
         if stage not in (2, 3):
             raise ValueError("record_block is for raw stage-2/3 observations")
-        tgt = list(targets)
-        if stage == 3:
-            for src in sources:
-                self._stage3_targets.setdefault(src, set()).update(tgt)
-            return
-        entries = self._entries
-        n = self.n
-        val = (2, ValueClass.RAW)
-        partners = self._stage2_partners
-        for src in sources:
-            base = src * n
-            src_set = partners.setdefault(src, set())
-            shadowed = self._stage3_targets.get(src)
-            for dst in tgt:
-                key = base + dst
-                if key not in entries and (shadowed is None or dst not in shadowed):
-                    entries[key] = val
-                    src_set.add(dst)
-                    partners.setdefault(dst, set()).add(src)
+        self._enqueue_block(self._agents(sources), self._agents(targets),
+                            _ENCODE[stage, ValueClass.RAW])
 
     def lookup(self, src: int, dst: int) -> tuple[int, ValueClass] | None:
-        hit = self._entries.get(src * self.n + dst)
-        if hit is not None:
-            return hit
-        if src in self._stage3_targets and dst in self._stage3_targets[src]:
-            return (3, ValueClass.RAW)
-        return None
-
-    def stage2_partners(self, agent: int) -> set[int]:
-        return self._stage2_partners.get(agent, set())
+        self._agents((src, dst))
+        return _DECODE[self._flush()[src, dst]]
 
     def stage2_between(self, agent: int, members: Iterable[int]) -> bool:
         """Whether any stage-2 entry links ``agent`` with one of ``members`` (either direction)."""
-        partners = self._stage2_partners.get(agent)
-        if not partners:
-            return False
-        return any(m in partners for m in members)
+        self._agents((agent,))
+        m = self._agents(members)
+        codes = self._flush()
+        return bool(((codes[agent, m] == _STAGE2) | (codes[m, agent] == _STAGE2)).any())
 
     def merge(self, other: "RevelationLedger") -> None:
-        for key, val in other._entries.items():
-            if key not in self._entries:
-                self._entries[key] = val
-        for agent, partners in other._stage2_partners.items():
-            self._stage2_partners.setdefault(agent, set()).update(partners)
-        for agent, targets in other._stage3_targets.items():
-            self._stage3_targets.setdefault(agent, set()).update(targets)
+        """Add ``other``'s entries for pairs this ledger has not revealed."""
+        if other.n != self.n:
+            raise ValueError(f"cannot merge a ledger over {other.n} agents into one over {self.n}")
+        theirs = other._flush().reshape(-1)
+        keys = np.flatnonzero(theirs != 0)  # nonzero is several times slower on int8 than on bool
+        flat = self._flush().reshape(-1)
+        cur = flat[keys]
+        flat[keys] = np.where(cur == 0, theirs[keys], cur)
 
     def entries(self, stages: Iterable[int] | None = None):
-        wanted = set(stages) if stages is not None else {1, 2, 3}
-        if wanted & {1, 2}:
-            for key, (stage, cls) in self._entries.items():
-                if stage in wanted:
-                    yield stage, key // self.n, key % self.n, cls
-        if 3 in wanted:
-            entries = self._entries
-            n = self.n
-            for src, targets in self._stage3_targets.items():
-                base = src * n
-                for dst in targets:
-                    if base + dst not in entries:
-                        yield 3, src, dst, ValueClass.RAW
+        flat = self._flush().reshape(-1)
+        wanted = (1, 2, 3) if stages is None else set(stages)
+        mask = None
+        for stage in wanted:
+            for code in _STAGE_CODES.get(stage, ()):
+                hit = flat == code
+                mask = hit if mask is None else mask | hit
+        if mask is None:
+            return
+        keys = np.flatnonzero(mask)
+        for src, dst, code in zip((keys // self.n).tolist(), (keys % self.n).tolist(),
+                                  flat[keys].tolist()):
+            stage, cls = _DECODE[code]
+            yield stage, src, dst, cls
 
     def count_by_stage(self) -> dict[int, int]:
-        out = {1: 0, 2: 0, 3: 0}
-        for stage, _s, _d, _cls in self.entries():
-            out[stage] += 1
-        return out
+        codes = self._flush()
+        return {stage: sum(int(np.count_nonzero(codes == c)) for c in cs)
+                for stage, cs in _STAGE_CODES.items()}
 
     def __len__(self) -> int:
-        return sum(self.count_by_stage().values())
+        return int(np.count_nonzero(self._flush()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RevelationLedger):
             return NotImplemented
-        return (self.n == other.n and self._entries == other._entries
-                and self._stage3_targets == other._stage3_targets)
+        return self.n == other.n and np.array_equal(self._flush(), other._flush())
 
 
-def _examine_candidate(U: np.ndarray, tau: float, w: int, members: list[int],
-                       ledger: RevelationLedger | None) -> bool:
-    """Pair checks member by member, stopping at the first sub-threshold value."""
-    if ledger is None:
-        return all(U[w, z] >= tau and U[z, w] >= tau for z in members)
-    entries = ledger._entries
+def _check_ledger(game: HedonicGame, ledger: RevelationLedger | None) -> None:
+    if ledger is not None and ledger.n != game.n:
+        raise ValueError(f"ledger covers {ledger.n} agents, the game {game.n}")
+
+
+def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
+                   steps: list[tuple[tuple[int, ...], np.ndarray]]) -> None:
+    """Queue the stage-1 checks of every (members, scanned candidates) growth step.
+
+    Each candidate w is checked member by member, u_w(z) then u_z(w), up to
+    and including the first value below ``tau``.  No ordered pair occurs
+    twice: a candidate is scanned once per clique and members leave the scan.
+    """
     n = ledger.n
-    below = (1, ValueClass.BELOW_TAU)
-    at_least = (1, ValueClass.AT_LEAST_TAU)
-    for z in members:
-        if U[w, z] < tau:
-            entries.setdefault(w * n + z, below)
-            return False
-        entries.setdefault(w * n + z, at_least)
-        if U[z, w] < tau:
-            entries.setdefault(z * n + w, below)
-            return False
-        entries.setdefault(z * n + w, at_least)
-    return True
+    by_size: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
+    for members, scanned in steps:
+        by_size.setdefault(len(members), []).append((members, scanned))
+    for m, group in by_size.items():
+        w = np.concatenate([scanned for _, scanned in group])[:, None]
+        z = np.repeat(np.array([members for members, _ in group], dtype=np.intp),
+                      [len(scanned) for _, scanned in group], axis=0)
+        # Column 2i is the check u_w(z_i), column 2i+1 the check u_{z_i}(w).
+        src = np.empty((len(w), 2 * m), dtype=np.intp)
+        dst = np.empty_like(src)
+        src[:, 0::2], dst[:, 0::2] = w, z
+        src[:, 1::2], dst[:, 1::2] = z, w
+        ok = U[src, dst] >= tau
+        first_below = np.where(ok.all(axis=1), 2 * m, ok.argmin(axis=1))
+        seen = np.arange(2 * m) <= first_below[:, None]
+        keys = src[seen] * n + dst[seen]
+        at_least = ok[seen]
+        ledger._enqueue(keys[~at_least], _BELOW)
+        ledger._enqueue(keys[at_least], _AT_LEAST)
 
 
 def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
@@ -314,11 +354,14 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
     """
     if size < 1:
         raise ValueError("size must be at least 1")
+    _check_ledger(game, ledger)
     U = game.utilities
     R = np.array(sorted(set(carrier)), dtype=np.intp)
     if R.size and (R[0] < 0 or R[-1] >= game.n):
         game.check_agent(int(R[0]) if R[0] < 0 else int(R[-1]))
     blocks: list[tuple[int, ...]] = []
+    steps: list[tuple[tuple[int, ...], np.ndarray]] = []  # (members, candidates scanned)
+    remainder: set[int] = set()
     while R.size:
         v = int(R[0])
         C = [v]
@@ -338,25 +381,24 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
                       & (U[np.asarray(C)[:, None], remaining] >= threshold).all(axis=0))
             hits = np.flatnonzero(ok)
             if hits.size == 0:
-                if ledger is not None:
-                    for w in remaining:
-                        _examine_candidate(U, threshold, int(w), C, ledger)
+                steps.append((tuple(C), remaining))
                 failed = True
                 break
             h = int(hits[0])
-            if ledger is not None:
-                for w in remaining[: h + 1]:
-                    _examine_candidate(U, threshold, int(w), C, ledger)
+            steps.append((tuple(C), remaining[: h + 1]))
             C.append(int(remaining[h]))
             taken.append(1 + pos + h)
             pos += h + 1
         if failed:
-            return PartialPartition(game.n, blocks, _trusted=True), set(R.tolist())
+            remainder = set(R.tolist())
+            break
         blocks.append(tuple(C))
         keep = np.ones(R.size, dtype=bool)
         keep[taken] = False
         R = R[keep]
-    return PartialPartition(game.n, blocks, _trusted=True), set()
+    if ledger is not None:
+        _record_stage1(ledger, U, threshold, steps)
+    return PartialPartition(game.n, blocks, _trusted=True), remainder
 
 
 def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[int],
@@ -373,10 +415,15 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     """
     if k < 2:
         raise ValueError("merge rounds start at k=2")
+    _check_ledger(game, ledger)
     cand = sorted(set(candidate))
     merged_list = sorted(set(merged))
+    n = game.n
+    if ((cand and (cand[0] < 0 or cand[-1] >= n))
+            or (merged_list and (merged_list[0] < 0 or merged_list[-1] >= n))):
+        raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
     U = game.utilities
-    s = config.clique_size(game.n)
+    s = config.clique_size(n)
     thr_cand = -config.compat_constant * s
     thr_merged = -(k - 1) * config.compat_constant * s
 
@@ -390,7 +437,7 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     n_eval = len(merged_list) if viol.size == 0 else int(viol[0]) + 1
     units += n_eval
     if ledger is not None:
-        ledger.record_block(2, merged_list[:n_eval], cand)
+        ledger._enqueue_block(merged_arr[:n_eval], cand_arr, _STAGE2)
     if viol.size > 0:
         ok = False
     else:
@@ -399,7 +446,7 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
         n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
         units += n_eval2 * (k - 1)
         if ledger is not None:
-            ledger.record_block(2, cand[:n_eval2], merged_list)
+            ledger._enqueue_block(cand_arr[:n_eval2], merged_arr, _STAGE2)
         ok = viol2.size == 0
 
     if pair_units_out is not None:
@@ -526,6 +573,7 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
         raise PartitionError(f"remainder overlaps the merged carrier: {sorted(overlap)[:5]}")
     if len(carrier) + len(rem) != game.n:
         raise PartitionError("merged carrier plus remainder must cover all agents")
+    _check_ledger(game, ledger)
     return _complete_with_trace(game, merged, rem, ledger, [])
 
 
@@ -544,10 +592,6 @@ class StageReport:
     stage2_remainder: int
     merged_count: int
     coalition_size_histogram: dict[int, int]
-
-    @property
-    def remainder_sizes(self) -> dict[str, int]:
-        return {"stage1": self.stage1_remainder, "stage2": self.stage2_remainder}
 
     def to_dict(self) -> dict:
         return {
@@ -590,16 +634,12 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     tau = config.edge_threshold
 
     groups = GroupAssignment.round_robin(n, g).groups
-    group_ledgers = [RevelationLedger(n) for _ in range(g)]
+    ledger = RevelationLedger(n)  # the groups are disjoint, so they share one ledger
 
-    stage1_out = [greedy_cliques(game, groups[j], s, tau, group_ledgers[j]) for j in range(g)]
+    stage1_out = [greedy_cliques(game, groups[j], s, tau, ledger) for j in range(g)]
 
     cliques = tuple(out[0] for out in stage1_out)
     rem1 = tuple(tuple(sorted(out[1])) for out in stage1_out)
-
-    ledger = RevelationLedger(n)
-    for gl in group_ledgers:
-        ledger.merge(gl)
 
     cap1 = config.stage1_cap(n)
     stage1_success = all(
@@ -666,14 +706,23 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     blocks = list(merged.coalitions)
     nb = len(blocks)
     U = game.utilities
+    rem_arr = np.asarray(rem, dtype=np.intp)
     order = np.fromiter((a for block in blocks for a in block), dtype=np.intp)
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
     starts = np.zeros(nb, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    vals = np.add.reduceat(U[np.asarray(rem, dtype=np.intp)[:, None], order], starts, axis=1)
+    vals = np.add.reduceat(U[rem_arr[:, None], order], starts, axis=1)
 
-    block_of_member = {m: i for i, block in enumerate(blocks) for m in block}
     alive = np.ones(nb, dtype=bool)
+    open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition
+    if ledger is not None:
+        # Stage 3 writes only stage-3 codes, so the links read here hold
+        # throughout the loop.
+        codes = ledger._flush()
+        links = ((codes[rem_arr][:, order] == _STAGE2)
+                 | (codes.take(rem_arr, axis=1).take(order, axis=0).T == _STAGE2))
+        open_to = ~np.logical_or.reduceat(links, starts, axis=1)
+    examined = np.zeros_like(open_to)
     additions: dict[int, int] = {}
     singles: list[int] = []
     success = True
@@ -684,28 +733,24 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
             placements_out.append((a, None, False))
             success = False
             continue
-        qual = alive.copy()
-        if ledger is not None:
-            for m in ledger.stage2_partners(a):
-                i = block_of_member.get(m)
-                if i is not None:
-                    qual[i] = False
+        qual = alive & open_to[r_i]
         row = vals[r_i]
         masked = np.where(qual, row, neg_inf)
         best = int(masked.argmax())
         satisfied = masked[best] > 0.0
-        examined = qual
+        seen = qual
         if not satisfied:
-            examined = alive
+            seen = alive
             success = False
             masked = np.where(alive, row, neg_inf)
             best = int(masked.argmax())
-        if ledger is not None:
-            seen = [m for i in np.flatnonzero(examined) for m in blocks[i]]
-            ledger.record_block(3, (a,), seen)
+        examined[r_i] = seen
         placements_out.append((a, best, satisfied))
         additions[best] = a
         alive[best] = False
+    if ledger is not None:
+        seen_at = np.flatnonzero(np.repeat(examined, sizes, axis=1))
+        ledger._enqueue(rem_arr[seen_at // order.size] * n + order[seen_at % order.size], _STAGE3)
 
     final_blocks: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):

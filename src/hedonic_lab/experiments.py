@@ -236,14 +236,15 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # ------------------------------------------------------- ORACLE_EXISTENCE ----
 
-def _nash_stable(best: np.ndarray, own: np.ndarray, singleton: np.ndarray | bool) -> np.ndarray:
+def _nash_stable(best: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Nash test from block sums, reduced over the last (agent) axis.
 
     ``best`` is each agent's largest sum over *all* blocks, its own included,
     so ``best <= own`` says no other block is better; ``own >= 0`` says it
-    would not rather be alone, which binds only outside singletons.
+    would not rather be alone.  With a zero diagonal a singleton's own sum is
+    0, so the second test holds for it by itself.
     """
-    return ((best <= own) & ((own >= 0) | singleton)).all(axis=-1)
+    return ((best <= own) & (own >= 0)).all(axis=-1)
 
 
 # Restricted growth strings read from ``rgs_strings`` per table slice, and
@@ -261,11 +262,14 @@ def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
     (T, n + 1) indexed by k (entry 0 unused).  Partitions are read from
     ``rgs_strings`` in table slices and tested many per NumPy call, grouped by
     block count.  Each block sum starts at 0.0 and adds its members in
-    ascending order, the order ``check`` sums in.
+    ascending order, the order ``check`` sums in.  A batch that is not square
+    or has a nonzero diagonal raises ``ValueError``.
     """
     T, n, n2 = games.shape
     if n != n2:
         raise ValueError("games must be square")
+    if games[:, np.arange(n), np.arange(n)].any():
+        raise ValueError("games must have a zero diagonal")
     exists = np.zeros((T, n + 1), dtype=bool)
     if T == 0:
         return exists
@@ -291,8 +295,7 @@ def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
                     S[block_row[:, b]] += cols[b]
                 own = S[block_row[:, None, :], flat_agent]
                 best = S.reshape(P, k, T, n).max(axis=1)
-                singleton = np.bincount(block_row.ravel(), minlength=P * k)[block_row] == 1
-                exists[:, k] |= _nash_stable(best, own, singleton[:, None, :]).any(axis=0)
+                exists[:, k] |= _nash_stable(best, own).any(axis=0)
 
 
 def nash_k_bound(n: int, k: int) -> float:
@@ -458,7 +461,7 @@ def fixed_shape_ns_successes(n: int, k: int, trials: int, dist: UtilityDistribut
         batch = dist.sample(rng, (b, n, n))
         batch[:, ar, ar] = 0.0
         S = (batch.reshape(b * n, n) @ M).reshape(b, n, k)
-        successes += int(_nash_stable(S.max(axis=2), S[:, ar, lab], False).sum())
+        successes += int(_nash_stable(S.max(axis=2), S[:, ar, lab]).sum())
         done += b
     return successes
 

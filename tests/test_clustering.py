@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hedonic_lab.clustering import (
     run_three_stage,
     run_three_stage_detailed,
 )
-from hedonic_lab.games import HedonicGame, PartialPartition, Partition
+from hedonic_lab.games import HedonicGame, InvalidAgentError, PartialPartition, Partition
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 
 D = UtilityDistribution(-1, 1)
@@ -392,3 +394,233 @@ class TestGroupAssignment:
         from hedonic_lab.clustering import GroupAssignment
         with pytest.raises(ValueError):
             GroupAssignment(2, ((0, 1, 2), (3,)))
+
+
+BELOW, AT_LEAST, RAW = ValueClass.BELOW_TAU, ValueClass.AT_LEAST_TAU, ValueClass.RAW
+
+
+class ReferenceLedger:
+    """A dict ledger: one entry per ordered pair, the first writer wins."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def put(self, stage, src, dst, cls):
+        self.seen.setdefault((src, dst), (stage, cls))
+
+    def linked(self, agent, block):
+        """Whether a stage-2 entry links ``agent`` with ``block``, either direction."""
+        return any(self.seen.get(pair, (0,))[0] == 2
+                   for m in block for pair in ((agent, m), (m, agent)))
+
+    def entries(self):
+        return {(stage, src, dst, cls) for (src, dst), (stage, cls) in self.seen.items()}
+
+
+def reference_entries(game, cfg, det):
+    """Replay, one pair at a time, which entries each stage of ``det``'s run examined.
+
+    Stages 1 and 2 are replayed in full and must rebuild ``det``'s cliques and
+    merged coalitions; stage 3 takes each agent's placement from ``det``.
+    """
+    U, n = game.utilities, game.n
+    g, s, tau, c = cfg.num_groups, cfg.clique_size(n), cfg.edge_threshold, cfg.compat_constant
+    led = ReferenceLedger()
+
+    def joins(w, members):  # member by member, stopping at the first value below tau
+        for z in members:
+            for a, b in ((w, z), (z, w)):
+                led.put(1, a, b, AT_LEAST if U[a, b] >= tau else BELOW)
+                if U[a, b] < tau:
+                    return False
+        return True
+
+    cliques = []
+    for j in range(g):
+        R, out = list(range(j, n, g)), []
+        while R:
+            C = [R[0]]
+            for w in R[1:]:
+                if len(C) == s:
+                    break
+                if joins(w, C):
+                    C.append(w)
+            if len(C) < s:
+                break
+            out.append(tuple(C))
+            R = [a for a in R if a not in C]
+        cliques.append(out)
+    assert [list(pp.coalitions) for pp in det.clique_partitions] == cliques
+
+    def compatible(cand, union, k):  # stops at the first violated sum
+        for m in union:
+            for b in cand:
+                led.put(2, m, b, RAW)
+            if U[m, list(cand)].sum() < -c * s:
+                return False
+        for b in cand:
+            for m in union:
+                led.put(2, b, m, RAW)
+            if U[b, union].sum() < -(k - 1) * c * s:
+                return False
+        return True
+
+    avail, merged = [list(out) for out in cliques], []
+    while avail[0]:
+        union, picks = list(avail[0][0]), [0]
+        for kk in range(1, g):
+            idx = next((i for i, block in enumerate(avail[kk])
+                        if compatible(block, union, kk + 1)), None)
+            if idx is None:
+                break
+            picks.append(idx)
+            union = sorted(union + list(avail[kk][idx]))
+        if len(picks) < g:
+            break
+        for kk, idx in enumerate(picks):
+            avail[kk].pop(idx)
+        merged.append(tuple(union))
+    assert list(det.merged.coalitions) == merged
+
+    alive = [True] * len(merged)
+    for agent, best, satisfied in det.placements:
+        if best is None:
+            continue  # coalitions ran out: nothing examined
+        qual = [i for i, block in enumerate(merged) if alive[i] and not led.linked(agent, block)]
+        assert best in qual or not satisfied
+        for i in qual if satisfied else [i for i in range(len(merged)) if alive[i]]:
+            for m in merged[i]:
+                led.put(3, agent, m, RAW)
+        alive[best] = False
+    return led.entries()
+
+
+def assert_ledger_matches_reference(n, g, s, tau, compat, seed):
+    cfg = AlgoConfig(num_groups=g, edge_threshold=tau, compat_constant=compat,
+                     clique_size_rule=lambda m: s)
+    game = sample_game(n, D, SeedSpec(seed))
+    det = run_three_stage_detailed(game, cfg)
+    assert set(det.ledger.entries()) == reference_entries(game, cfg, det)
+    return det
+
+
+# Every g x clique size; tau, compat and n each take all their values, chosen so
+# that stage 2 merges and stage 3 places agents wherever the clique size allows.
+LEDGER_CASES = [  # g, s, tau, compat, n
+    (2, 1, 0.3, 0.05, 200), (2, 2, 0.3, 0.25, 200), (2, 3, 0.3, 0.25, 400), (2, 4, 0.5, 2.0, 90),
+    (4, 1, 0.3, 0.25, 90), (4, 2, 0.5, 0.25, 400), (4, 3, 0.3, 2.0, 200), (4, 4, 0.5, 0.05, 30),
+    (8, 1, 0.5, 0.25, 400), (8, 2, 0.3, 2.0, 400), (8, 3, 0.5, 0.05, 200), (8, 4, 0.3, 0.25, 90),
+]
+
+
+class TestLedgerAgainstReference:
+    @pytest.mark.parametrize("g,s,tau,compat,n", LEDGER_CASES)
+    def test_entries_match_reference(self, g, s, tau, compat, n):
+        assert_ledger_matches_reference(n, g, s, tau, compat, seed=5000 + n + 10 * g + s)
+
+    def test_stage1_stops_on_failed_clique(self):
+        det = assert_ledger_matches_reference(90, 2, 4, 0.5, 2.0, seed=5101)
+        assert any(det.group_remainders)
+
+    def test_stage3_runs_out_of_coalitions(self):
+        det = assert_ledger_matches_reference(200, 4, 2, 0.5, 2.0, seed=5102)
+        outcomes = {"out" if best is None else ok for _a, best, ok in det.placements}
+        assert outcomes == {"out", True, False}
+
+
+class TestLedgerInputs:
+    PAIRS = {(1, 0), (1, 2), (3, 0), (3, 2)}
+
+    @pytest.mark.parametrize("sources,targets", [
+        ({1, 3}, {0, 2}),
+        (range(1, 4, 2), range(0, 3, 2)),
+        ((a for a in (1, 3)), (b for b in (0, 2))),
+        (np.array([1, 3]), np.array([0, 2], dtype=np.int32)),
+        ([1, 3], (0, 2)),
+    ])
+    def test_record_block_accepts_any_iterable(self, sources, targets):
+        ledger = RevelationLedger(5)
+        ledger.record_block(2, sources, targets)
+        assert {(src, dst) for _st, src, dst, _c in ledger.entries()} == self.PAIRS
+        assert ledger.count_by_stage() == {1: 0, 2: 4, 3: 0}
+
+    @pytest.mark.parametrize("members", [
+        {2, 3}, range(2, 4), (m for m in (2, 3)), np.array([2, 3]), [3, 2]])
+    def test_stage2_between_accepts_any_iterable(self, members):
+        ledger = RevelationLedger(5)
+        ledger.record(2, 4, 2, RAW)
+        assert ledger.stage2_between(4, members)
+
+    def test_stage2_between_either_direction_and_stage2_only(self):
+        ledger = RevelationLedger(5)
+        ledger.record(2, 4, 2, RAW)
+        ledger.record(3, 4, 1, RAW)
+        assert ledger.stage2_between(2, [4])
+        assert not ledger.stage2_between(4, [0, 1, 3])
+        assert not ledger.stage2_between(4, [])
+
+    def test_out_of_range_agents_raise(self):
+        ledger = RevelationLedger(5)
+        calls = [lambda: ledger.record(2, -1, 0, RAW), lambda: ledger.record(2, 0, 5, RAW),
+                 lambda: ledger.record_block(2, [0, 5], [1]),
+                 lambda: ledger.record_block(3, {0}, range(-1, 1)),
+                 lambda: ledger.lookup(0, 5), lambda: ledger.lookup(-1, 0),
+                 lambda: ledger.stage2_between(0, [-1])]
+        for call in calls:
+            with pytest.raises(InvalidAgentError):
+                call()
+        assert len(ledger) == 0
+        g = game_from({}, 5)
+        with pytest.raises(InvalidAgentError):
+            is_compatible(g, (-1, 3), (0, 1), 2, TestIsCompatible.CFG, ledger)
+
+    def test_ledger_size_must_match_game(self):
+        g = game_from({}, 5)
+        with pytest.raises(ValueError):
+            greedy_cliques(g, range(5), 2, 0.5, RevelationLedger(6))
+
+    def test_queued_writes_keep_first_writer(self):
+        ledger = RevelationLedger(4)
+        ledger.record_block(2, [0], [1])
+        ledger.record_block(3, [0], [1, 2])
+        assert ledger.lookup(0, 1) == (2, RAW)
+        assert ledger.lookup(0, 2) == (3, RAW)
+        ledger.record_block(2, [0, 1], [2, 3])
+        assert not ledger.record(1, 1, 2, BELOW)
+        assert ledger.record(1, 2, 0, BELOW)
+        assert [(st, src, dst) for st, src, dst, _c in ledger.entries()] == [
+            (2, 0, 1), (3, 0, 2), (2, 0, 3), (2, 1, 2), (2, 1, 3), (1, 2, 0)]
+        assert len(ledger) == 6
+
+    def test_merge_and_equality_use_effective_codes(self):
+        a, b = RevelationLedger(3), RevelationLedger(3)
+        a.record(1, 0, 1, AT_LEAST)
+        b.record_block(2, [0], [1, 2])
+        b.record(3, 1, 0, RAW)
+        a.merge(b)
+        assert a.lookup(0, 1) == (1, AT_LEAST)
+        assert a.lookup(0, 2) == (2, RAW) and a.lookup(1, 0) == (3, RAW)
+        c = RevelationLedger(3)
+        c.record(1, 0, 1, AT_LEAST)
+        c.record_block(2, [0, 0], [2, 1])
+        c.record_block(3, [1], [0])
+        assert a == c
+        c.record(2, 2, 2, RAW)
+        assert a != c
+
+
+def test_run_three_stage_memory_at_n1000():
+    # The int8 code matrix is n^2 bytes; the dict ledger it replaced peaked at
+    # ~5 n^2 bytes on this game, and one n x n float temporary is 8 n^2.
+    n = 1000
+    cfg = AlgoConfig(num_groups=4, edge_threshold=0.5, compat_constant=2.0,
+                     clique_size_rule=lambda m: 2)
+    game = sample_game(n, D, SeedSpec(1))
+    tracemalloc.start()
+    try:
+        _partition, _report, ledger = run_three_stage(game, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) > 0
+    assert peak < 4 * n * n, f"{peak / n**2:.2f} n^2 bytes"

@@ -167,6 +167,16 @@ class TestOracleExistence:
         with pytest.raises(ValueError):
             nash_existence_by_k(np.zeros((2, 3, 4)))
 
+    def test_engine_rejects_nonzero_diagonal(self):
+        # A singleton's own sum is its diagonal entry, so the Nash test's
+        # "own >= 0" holds for singletons only on a zero diagonal.
+        games = np.zeros((2, 3, 3))
+        games[1, 2, 2] = -0.5
+        with pytest.raises(ValueError, match="diagonal"):
+            nash_existence_by_k(games)
+        games[1, 2, 2] = 0.0
+        assert nash_existence_by_k(games).tolist() == [[False, True, True, True]] * 2
+
     def test_engine_memory_at_n9(self):
         # All 21,147 partitions of 200 games at once would take ~2.7 GB.
         games = np.stack([sample_game(9, D, SeedSpec(7300 + t)).utilities for t in range(200)])
