@@ -135,12 +135,6 @@ class GroupAssignment:
         if sizes and max(sizes) - min(sizes) > 1:
             raise ValueError("group sizes must differ by at most one")
 
-    def group_of(self, agent: int) -> int:
-        for j, members in enumerate(self.groups):
-            if agent in members:
-                return j
-        raise ValueError(f"agent {agent} not assigned")
-
 
 class ValueClass(enum.Enum):
     BELOW_TAU = "below"

@@ -3,8 +3,9 @@
 Trials are embarrassingly parallel: each draws its own generator from a seed
 derived statelessly from the campaign master, and aggregation is by counting,
 so results are identical at any worker count.  Heavy inner loops (grand
-coalition flags, fixed-shape stability, exhaustive Nash existence) are
-vectorized over trial batches.
+coalition flags, fixed-shape stability, exhaustive existence) are vectorized
+over trial batches.  Exhaustive existence, for every concept, is one pass of
+``existence_by_k`` over all set partitions per n; ``check`` is not called.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .clustering import AlgoConfig, run_three_stage
-from .games import HedonicGame
+# exists_stable is unused but kept: perfbench/tracing.py wraps it here by name, with three more.
 from .oracle import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError, exists_stable, rgs_strings
 from .sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
 from .stability import Concept, concept_profile
@@ -40,6 +41,7 @@ __all__ = [
     "run_grand_coalition_study",
     "run_bounds_compare",
     "run_lemma_verify",
+    "existence_by_k",
     "nash_existence_by_k",
     "grand_coalition_flags",
     "fixed_shape_ns_successes",
@@ -148,6 +150,9 @@ class CampaignKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Campaign:
+    """One campaign's settings.  ``workers`` threads run ``mc-alg`` trials; the
+    other kinds are batched and ignore it."""
+
     kind: CampaignKind
     n_values: tuple[int, ...]
     trials: int
@@ -236,15 +241,15 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # ------------------------------------------------------- ORACLE_EXISTENCE ----
 
-def _nash_stable(best: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Nash test from block sums, reduced over the last (agent) axis.
+def _stays(best: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per agent, the Nash stay test from block sums.
 
-    ``best`` is each agent's largest sum over *all* blocks, its own included,
-    so ``best <= own`` says no other block is better; ``own >= 0`` says it
-    would not rather be alone.  With a zero diagonal a singleton's own sum is
-    0, so the second test holds for it by itself.
+    ``best`` is each agent's largest sum over the blocks it may move to, its
+    own included, so ``best <= own`` says no other block is better; ``own >= 0``
+    says it would not rather be alone.  With a zero diagonal a singleton's own
+    sum is 0, so the second test holds for it by itself.
     """
-    return ((best <= own) & (own >= 0)).all(axis=-1)
+    return (best <= own) & (own >= 0)
 
 
 # Restricted growth strings read from ``rgs_strings`` per table slice, and
@@ -253,28 +258,58 @@ def _nash_stable(best: np.ndarray, own: np.ndarray) -> np.ndarray:
 _RGS_ROWS = 1 << 14
 _CHUNK = 1 << 15
 
+# Concepts read from block sums, from ``F`` (some member of a block has a
+# negative utility for the agent) and from ``G`` (some member, a positive one).
+_NEEDS_SUMS = frozenset({Concept.NASH, Concept.INDIVIDUAL, Concept.CONTRACTUAL_NASH,
+                         Concept.CONTRACTUAL_INDIVIDUAL, Concept.INDIVIDUALLY_RATIONAL})
+_NEEDS_F = frozenset({Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL, Concept.ENTER_DENIED})
+_NEEDS_G = frozenset({Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL,
+                      Concept.EXIT_DENIED})
+_INDIVIDUAL_FORMS = frozenset({Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL})
 
-def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
-    """For a stacked game batch (T, n, n), decide per game and per block count k
-    whether some partition into exactly k coalitions is Nash-stable.
 
-    Exhaustive over all set partitions; returns a boolean array of shape
-    (T, n + 1) indexed by k (entry 0 unused).  Partitions are read from
-    ``rgs_strings`` in table slices and tested many per NumPy call, grouped by
-    block count.  Each block sum starts at 0.0 and adds its members in
-    ascending order, the order ``check`` sums in.  A batch that is not square
-    or has a nonzero diagonal raises ``ValueError``.
+def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
+    """For a stacked game batch (T, n, n), decide per concept, game and block
+    count k whether some partition into exactly k coalitions is stable.
+
+    Exhaustive over all set partitions; returns one boolean array of shape
+    (T, n + 1) per requested concept, indexed by k (entry 0 unused).
+    Partitions are read from ``rgs_strings`` in table slices and tested many
+    per NumPy call, grouped by block count.  Each block sum starts at 0.0 and
+    adds its members in ascending order, the order ``check`` sums in, and
+    every concept is a reduction of those sums and two favour masks, scattered
+    by block exactly as the sums are:
+
+    - ``F[p * k + j, t * n + a]``: some member b of block j has u_b(a) < 0;
+    - ``G``: the same with u_b(a) > 0 (``own_fin`` is ``G`` at the own block).
+
+    Nash stays when no block sum beats its own and its own is >= 0; individual
+    stability is the same after the sums of blocks with ``F`` set are dropped;
+    the contractual forms also hold where ``own_fin`` does; individual
+    rationality is own >= 0; enter-denied needs ``F`` on every other block and
+    exit-denied needs ``own_fin``.  ``F`` and ``G`` are built only when a
+    requested concept reads them.  A batch that is not square or has a nonzero
+    diagonal raises ``ValueError``.
     """
     T, n, n2 = games.shape
     if n != n2:
         raise ValueError("games must be square")
     if games[:, np.arange(n), np.arange(n)].any():
         raise ValueError("games must have a zero diagonal")
-    exists = np.zeros((T, n + 1), dtype=bool)
+    exists = {c: np.zeros((T, n + 1), dtype=bool) for c in concepts}
+    for c in exists:
+        if not isinstance(c, Concept):
+            raise ValueError(f"unhandled concept {c!r}")
     if T == 0:
         return exists
-    # cols[b] holds u_a(b) for every (game, agent) pair, agent fastest.
+    wanted = set(exists)
+    sums, need_f, need_g = wanted & _NEEDS_SUMS, wanted & _NEEDS_F, wanted & _NEEDS_G
+    # cols[b] holds u_a(b) for every (game, agent) pair, agent fastest; the
+    # favour rows hold u_b(a) in the same layout.
     cols = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, T * n)
+    u_of_agent = games.transpose(1, 0, 2).reshape(n, T * n)
+    dislikes = u_of_agent < 0 if need_f else None
+    likes = u_of_agent > 0 if need_g else None
     flat_agent = np.arange(T * n).reshape(T, n)
     strings = itertools.chain.from_iterable(rgs_strings(n))
     while True:
@@ -288,14 +323,49 @@ def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
             for p0 in range(0, len(rows), step):
                 lab = rows[p0:p0 + step]
                 P = len(lab)
-                # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
+                # Row p * k + j of each table is block j of partition p.
                 block_row = np.arange(P)[:, None] * k + lab
-                S = np.zeros((P * k, T * n))
-                for b in range(n):
-                    S[block_row[:, b]] += cols[b]
-                own = S[block_row[:, None, :], flat_agent]
-                best = S.reshape(P, k, T, n).max(axis=1)
-                exists[:, k] |= _nash_stable(best, own).any(axis=0)
+                own_at = (block_row[:, None, :], flat_agent)
+                ok: dict[Concept, np.ndarray] = {}
+                if sums:
+                    # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
+                    S = np.zeros((P * k, T * n))
+                    for b in range(n):
+                        S[block_row[:, b]] += cols[b]
+                    own = S[own_at]
+                    ok[Concept.NASH] = _stays(S.reshape(P, k, T, n).max(axis=1), own)
+                    if Concept.INDIVIDUALLY_RATIONAL in wanted:
+                        ok[Concept.INDIVIDUALLY_RATIONAL] = own >= 0
+                if need_f:
+                    F = np.zeros((P * k, T * n), dtype=bool)
+                    for b in range(n):
+                        F[block_row[:, b]] |= dislikes[b]
+                    if wanted & _INDIVIDUAL_FORMS:
+                        S[F] = -np.inf
+                        ok[Concept.INDIVIDUAL] = _stays(S.reshape(P, k, T, n).max(axis=1), own)
+                    if Concept.ENTER_DENIED in wanted:
+                        F[own_at] = True
+                        ok[Concept.ENTER_DENIED] = F.reshape(P, k, T, n).all(axis=1)
+                if need_g:
+                    G = np.zeros((P * k, T * n), dtype=bool)
+                    for b in range(n):
+                        G[block_row[:, b]] |= likes[b]
+                    own_fin = G[own_at]
+                    ok[Concept.EXIT_DENIED] = own_fin
+                    if Concept.CONTRACTUAL_NASH in wanted:
+                        ok[Concept.CONTRACTUAL_NASH] = own_fin | ok[Concept.NASH]
+                    if Concept.CONTRACTUAL_INDIVIDUAL in wanted:
+                        ok[Concept.CONTRACTUAL_INDIVIDUAL] = own_fin | ok[Concept.INDIVIDUAL]
+                for c, ex in exists.items():
+                    ex[:, k] |= ok[c].all(axis=-1).any(axis=0)
+
+
+def nash_existence_by_k(games: np.ndarray) -> np.ndarray:
+    """Nash-stable partition existence per game and block count k, shape (T, n + 1).
+
+    ``existence_by_k`` for Nash alone; see there.
+    """
+    return existence_by_k(games, (Concept.NASH,))[Concept.NASH]
 
 
 def nash_k_bound(n: int, k: int) -> float:
@@ -337,28 +407,16 @@ def run_oracle_existence(campaign: Campaign, *, keep_summaries: bool = True) -> 
         T = campaign.trials
         games = _sample_game_batch(n, campaign.dist, campaign.master_seed, base, 0, T)
 
-        per_concept: dict[Concept, np.ndarray] = {}
-        per_k = None
-        if Concept.NASH in concepts:
-            per_k = nash_existence_by_k(games)
-            per_concept[Concept.NASH] = per_k[:, 1:].any(axis=1)
-        others = [c for c in concepts if c is not Concept.NASH]
-        if others:
-            def decide(t: int) -> list[bool]:
-                game = HedonicGame(games[t])
-                return [exists_stable(game, c, limit=campaign.oracle_limit) is not None
-                        for c in others]
-            decided = _map_trials(decide, T, campaign.workers)
-            for j, c in enumerate(others):
-                per_concept[c] = np.array([d[j] for d in decided], dtype=bool)
+        per_k = existence_by_k(games, concepts)
+        per_concept = {c: per_k[c][:, 1:].any(axis=1) for c in concepts}
 
         for c in concepts:
             succ = int(per_concept[c].sum())
             rows.append(ResultRow.from_frequency(
                 n, f"exists:{c.value}", FrequencyEstimate.from_counts(succ, T)))
-        if per_k is not None:
+        if Concept.NASH in concepts:
             for k in range(1, n + 1):
-                succ = int(per_k[:, k].sum())
+                succ = int(per_k[Concept.NASH][:, k].sum())
                 rows.append(ResultRow.from_frequency(
                     n, f"exists:nash:k={k}",
                     FrequencyEstimate.from_counts(succ, T), bound=nash_k_bound(n, k)))
@@ -461,7 +519,7 @@ def fixed_shape_ns_successes(n: int, k: int, trials: int, dist: UtilityDistribut
         batch = dist.sample(rng, (b, n, n))
         batch[:, ar, ar] = 0.0
         S = (batch.reshape(b * n, n) @ M).reshape(b, n, k)
-        successes += int(_nash_stable(S.max(axis=2), S[:, ar, lab]).sum())
+        successes += int(_stays(S.max(axis=2), S[:, ar, lab]).all(axis=-1).sum())
         done += b
     return successes
 

@@ -132,19 +132,23 @@ class _Blocks:
                  _trusted: bool = False) -> None:
         if n < 1:
             raise PartitionError("n must be positive")
-        blocks = coalitions if _trusted else _normalize_blocks(coalitions)
         self._n = n
-        self._coalitions = tuple(blocks)
-        index: dict[int, int] = {}
-        for i, block in enumerate(self._coalitions):
-            if not block:
-                raise PartitionError("coalitions must be nonempty")
-            for a in block:
-                if not 0 <= a < n:
-                    raise PartitionError(f"agent id {a} outside 0..{n - 1}")
-                if a in index:
-                    raise PartitionError(f"agent {a} appears in two coalitions")
-                index[a] = i
+        if _trusted:
+            # The caller guarantees nonempty, disjoint, in-range blocks.
+            self._coalitions = tuple(coalitions)
+            index = {a: i for i, block in enumerate(self._coalitions) for a in block}
+        else:
+            self._coalitions = _normalize_blocks(coalitions)
+            index = {}
+            for i, block in enumerate(self._coalitions):
+                if not block:
+                    raise PartitionError("coalitions must be nonempty")
+                for a in block:
+                    if not 0 <= a < n:
+                        raise PartitionError(f"agent id {a} outside 0..{n - 1}")
+                    if a in index:
+                        raise PartitionError(f"agent {a} appears in two coalitions")
+                    index[a] = i
         if cover and len(index) != n:
             missing = sorted(set(range(n)) - index.keys())
             raise PartitionError(f"agents {missing[:5]} not covered by any coalition")

@@ -7,7 +7,6 @@ exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .games import HedonicGame, Partition
@@ -101,17 +100,6 @@ def stirling2(n: int, k: int) -> int:
         for j in range(hi, 0, -1):
             row[j] = j * row[j] + row[j - 1]
     return row[k]
-
-
-def stirling2_alternating(n: int, k: int) -> int:
-    """S(n, k) via the alternating binomial sum, for cross-checking the recurrence."""
-    if k > n:
-        return 0
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** (k - i) * math.comb(k, i) * i ** n for i in range(1, k + 1))
-    assert total % math.factorial(k) == 0
-    return total // math.factorial(k)
 
 
 def bell(n: int) -> int:

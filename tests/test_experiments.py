@@ -12,6 +12,7 @@ from hedonic_lab.experiments import (
     FrequencyEstimate,
     ResultRow,
     TrialSummary,
+    existence_by_k,
     export_results,
     fixed_shape_ns_successes,
     grand_coalition_flags,
@@ -24,9 +25,9 @@ from hedonic_lab.experiments import (
     WILSON_Z,
 )
 from hedonic_lab.games import HedonicGame, Partition
-from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions, stirling2
+from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions, exists_stable, stirling2
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
-from hedonic_lab.stability import Concept, check, implied_concepts
+from hedonic_lab.stability import IMPLICATIONS, Concept, check, implied_concepts
 
 D = UtilityDistribution(-1, 1)
 
@@ -125,14 +126,16 @@ class TestOracleExistence:
         assert np.array_equal(nash_existence_by_k(games), self.reference_by_k(games))
 
     @staticmethod
-    def reference_by_k(games: np.ndarray) -> np.ndarray:
+    def reference_by_k(games: np.ndarray, concept: Concept = Concept.NASH) -> np.ndarray:
         T, n, _ = games.shape
+        by_k: dict[int, list[Partition]] = {}
+        for p in enumerate_partitions(n):
+            by_k.setdefault(len(p), []).append(p)
         ref = np.zeros((T, n + 1), dtype=bool)
         for t in range(T):
             g = HedonicGame(games[t])
-            for k in range(1, n + 1):
-                ref[t, k] = any(check(g, p, Concept.NASH).stable
-                                for p in enumerate_partitions(n, k=k))
+            for k, parts in by_k.items():
+                ref[t, k] = any(check(g, p, concept).stable for p in parts)
         return ref
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -204,6 +207,86 @@ class TestOracleExistence:
                             concepts=(Concept.NASH,), oracle_limit=8)
         with pytest.raises(EnumerationLimitError):
             run_oracle_existence(campaign)
+
+
+class TestExistenceKernel:
+    """``existence_by_k`` for all seven concepts against ``check`` on every partition."""
+
+    reference_by_k = staticmethod(TestOracleExistence.reference_by_k)
+
+    def assert_matches_reference(self, games: np.ndarray) -> None:
+        got = existence_by_k(games, tuple(Concept))
+        assert list(got) == list(Concept)
+        for c in Concept:
+            assert np.array_equal(got[c], self.reference_by_k(games, c)), c
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_reference_on_integer_games(self, n, monkeypatch):
+        # Utilities in {-2..2}: exact ties, zero sums and zero favours at every k.
+        rng = np.random.default_rng(600 + n)
+        games = rng.integers(-2, 3, size=(30, n, n)).astype(float)
+        games[:, np.arange(n), np.arange(n)] = 0.0
+        self.assert_matches_reference(games)
+        monkeypatch.setattr(experiments_mod, "_RGS_ROWS", 7)
+        self.assert_matches_reference(games)
+
+    def test_matches_reference_across_chunks(self):
+        # k = 2..5 each span at least 3 chunks, so the favour masks and verdicts
+        # of every chunk must land in its own rows and OR into the earlier ones.
+        T, n = 60, 8
+        for k in (2, 3, 4, 5):
+            assert stirling2(n, k) >= 3 * max(1, experiments_mod._CHUNK // (k * T * n))
+        games = np.stack([sample_game(n, D, SeedSpec(7600 + t)).utilities for t in range(T)])
+        self.assert_matches_reference(games)
+
+    def test_requested_concepts_only(self):
+        games = np.stack([sample_game(6, D, SeedSpec(7700 + t)).utilities for t in range(20)])
+        full = existence_by_k(games, tuple(Concept))
+        for c in Concept:
+            alone = existence_by_k(games, (c, c))
+            assert list(alone) == [c] and np.array_equal(alone[c], full[c])
+        assert existence_by_k(games, ()) == {}
+        with pytest.raises(ValueError, match="concept"):
+            existence_by_k(games, ("nash",))
+
+    def test_memory_at_n9_all_concepts(self):
+        games = np.stack([sample_game(9, D, SeedSpec(7300 + t)).utilities for t in range(200)])
+        tracemalloc.start()
+        try:
+            ex = existence_by_k(games, tuple(Concept))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak} bytes"
+        # A k-block partition stable under one concept is stable under what it implies.
+        for (lhs,), rhs in (imp for imp in IMPLICATIONS if len(imp[0]) == 1):
+            assert not (ex[lhs] & ~ex[rhs]).any(), (lhs, rhs)
+        flags = grand_coalition_flags(games)
+        assert np.array_equal(ex[Concept.NASH][:, 1], flags["grand-ns"])
+        assert np.array_equal(ex[Concept.EXIT_DENIED][:, 1], flags["grand-exit-denied"])
+        assert np.array_equal(ex[Concept.CONTRACTUAL_NASH][:, 1], flags["grand-cns"])
+
+    def test_oracle_existence_calls_no_fallback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exists_stable called")
+
+        master = SeedSpec(7800)
+        campaign = Campaign(kind=CampaignKind.ORACLE_EXISTENCE, n_values=(4, 5), trials=40,
+                            dist=D, master_seed=master, concepts=tuple(Concept))
+        monkeypatch.setattr(experiments_mod, "exists_stable", refuse)
+        result = run_oracle_existence(campaign)
+        monkeypatch.undo()
+        for s in result.summaries:
+            n_idx = campaign.n_values.index(s.n)
+            game = HedonicGame(experiments_mod._sample_game_batch(
+                s.n, D, master, n_idx * experiments_mod.TRIAL_BLOCK, s.trial, 1)[0])
+            for c in Concept:
+                assert s.outcome(f"exists:{c.value}") == (exists_stable(game, c) is not None)
+
+    def test_benchmark_hook_names(self):
+        # perfbench/tracing.py wraps these module attributes by name.
+        for name in ("exists_stable", "rgs_strings", "nash_existence_by_k", "nash_k_bound"):
+            assert callable(getattr(experiments_mod, name)), name
 
 
 class TestMcAlg:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hedonic_lab.games import (
     HedonicGame,
     Partition,
+    PartitionError,
     coalition_utility,
     favor_in,
     favor_out,
@@ -19,7 +22,6 @@ from hedonic_lab.oracle import (
     exists_stable,
     rgs_strings,
     stirling2,
-    stirling2_alternating,
 )
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 from hedonic_lab.stability import Concept
@@ -28,6 +30,17 @@ RUN_AND_CHASE = HedonicGame([[0.0, -1.0], [1.0, 0.0]])
 D = UtilityDistribution(-1, 1)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+
+
+def stirling2_alternating(n: int, k: int) -> int:
+    """S(n, k) via the alternating binomial sum, for cross-checking the recurrence."""
+    if k > n:
+        return 0
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = sum((-1) ** (k - i) * math.comb(k, i) * i ** n for i in range(1, k + 1))
+    assert total % math.factorial(k) == 0
+    return total // math.factorial(k)
 
 
 class TestEnumeration:
@@ -62,6 +75,30 @@ class TestEnumeration:
         # explicit limit raise works
         gen = enumerate_partitions(4, limit=4)
         assert sum(1 for _ in gen) == 15
+
+
+class TestTrustedPartitions:
+    """``enumerate_partitions`` skips validation; its partitions must equal validated ones."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_trusted_equals_validated(self, n):
+        for p in enumerate_partitions(n):
+            q = Partition(n, p.coalitions)
+            assert q == p
+            assert [q.index_of(a) for a in range(n)] == [p.index_of(a) for a in range(n)]
+
+    def test_untrusted_construction_still_validates(self):
+        n = 5
+        for p in enumerate_partitions(n):
+            blocks = [list(b) for b in p.coalitions]
+            for bad_id in (n, -1):
+                with pytest.raises(PartitionError, match="outside"):
+                    Partition(n, blocks[:-1] + [blocks[-1] + [bad_id]])
+            with pytest.raises(PartitionError, match="two coalitions"):
+                Partition(n, blocks + [[blocks[0][0]]])
+            short = [kept for b in blocks if (kept := [a for a in b if a != n - 1])]
+            with pytest.raises(PartitionError, match="not covered"):
+                Partition(n, short)
 
 
 class TestStirling:
