@@ -45,6 +45,11 @@ __all__ = [
 DEFAULT_MERGE_FAILURE_EXPONENT = 1.0 / (25600.0 * math.log(16.0))
 
 
+# Remainder agents per utility gather in stage 3: each row's block sums are one
+# ``reduceat`` of their own, so the tiling leaves every sum unchanged.
+_GATHER_ROWS = 64
+
+
 def _log16(n: int) -> float:
     x = math.log(n) / math.log(16.0)
     r = round(x)
@@ -416,36 +421,38 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     if ((cand and (cand[0] < 0 or cand[-1] >= n))
             or (merged_list and (merged_list[0] < 0 or merged_list[-1] >= n))):
         raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
-    U = game.utilities
-    s = config.clique_size(n)
-    thr_cand = -config.compat_constant * s
-    thr_merged = -(k - 1) * config.compat_constant * s
-
-    cand_arr = np.asarray(cand, dtype=np.intp)
-    merged_arr = np.asarray(merged_list, dtype=np.intp)
-    units = 0
-    ok = True
-
-    vals_m = U[merged_arr[:, None], cand_arr].sum(axis=1)
-    viol = np.flatnonzero(vals_m < thr_cand)
-    n_eval = len(merged_list) if viol.size == 0 else int(viol[0]) + 1
-    units += n_eval
-    if ledger is not None:
-        ledger._enqueue_block(merged_arr[:n_eval], cand_arr, _STAGE2)
-    if viol.size > 0:
-        ok = False
-    else:
-        vals_c = U[cand_arr[:, None], merged_arr].sum(axis=1)
-        viol2 = np.flatnonzero(vals_c < thr_merged)
-        n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
-        units += n_eval2 * (k - 1)
-        if ledger is not None:
-            ledger._enqueue_block(cand_arr[:n_eval2], merged_arr, _STAGE2)
-        ok = viol2.size == 0
-
+    thr_cand, thr_merged = _compat_thresholds(config, config.clique_size(n), k)
+    ok, units = _admit(game.utilities, np.asarray(cand, dtype=np.intp),
+                       np.asarray(merged_list, dtype=np.intp), k, thr_cand, thr_merged, ledger)
     if pair_units_out is not None:
         pair_units_out.append(units)
     return ok
+
+
+def _compat_thresholds(config: AlgoConfig, s: int, k: int) -> tuple[float, float]:
+    """Loss thresholds at round ``k``: for merged agents, then for candidate agents."""
+    return -config.compat_constant * s, -(k - 1) * config.compat_constant * s
+
+
+def _admit(U: np.ndarray, cand: np.ndarray, merged: np.ndarray, k: int,
+           thr_cand: float, thr_merged: float,
+           ledger: RevelationLedger | None) -> tuple[bool, int]:
+    """``is_compatible`` on sorted, distinct, valid id arrays; returns (ok, pair units)."""
+    vals_m = U[merged[:, None], cand].sum(axis=1)
+    viol = np.flatnonzero(vals_m < thr_cand)
+    n_eval = len(merged) if viol.size == 0 else int(viol[0]) + 1
+    units = n_eval
+    if ledger is not None:
+        ledger._enqueue_block(merged[:n_eval], cand, _STAGE2)
+    if viol.size > 0:
+        return False, units
+    vals_c = U[cand[:, None], merged].sum(axis=1)
+    viol2 = np.flatnonzero(vals_c < thr_merged)
+    n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
+    units += n_eval2 * (k - 1)
+    if ledger is not None:
+        ledger._enqueue_block(cand[:n_eval2], merged, _STAGE2)
+    return viol2.size == 0, units
 
 
 @dataclass(frozen=True)
@@ -480,7 +487,17 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
             if carriers[i] & carriers[j]:
                 raise PartitionError("partial partitions must be pairwise disjoint")
 
+    n = game.n
+    if max((max(c) for c in carriers if c), default=-1) >= n:
+        raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
+    _check_ledger(game, ledger)
+    U = game.utilities
+    s = config.clique_size(n)
+    thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
+
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
+    # Each block's ids as a sorted array, kept parallel to ``avail``.
+    avail_ids = [[np.sort(np.asarray(b, dtype=np.intp)) for b in group] for group in avail]
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
     attempts: list[AttemptRecord] = []
@@ -493,40 +510,33 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
         return out
 
     while avail[0]:
-        chosen: list[tuple[int, ...] | None] = [None] * g
         chosen_idx: list[int] = [0] * g
-        merged_so_far: list[int] = []
+        merged_ids = avail_ids[0][0]
         stuck = False
-        for kk in range(g):
-            if kk == 0:
-                chosen[0] = avail[0][0]
-                chosen_idx[0] = 0
-                merged_so_far = list(chosen[0])
-                continue
+        for kk in range(1, g):
+            thr_cand, thr_merged = thresholds[kk]
             found = None
-            for idx, block in enumerate(avail[kk]):
-                holder: list[int] = []
-                ok = is_compatible(game, block, merged_so_far, kk + 1, config,
-                                   ledger, holder)
-                attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx,
-                                              ok, holder[0]))
+            for idx, cand_ids in enumerate(avail_ids[kk]):
+                ok, units = _admit(U, cand_ids, merged_ids, kk + 1, thr_cand, thr_merged,
+                                   ledger)
+                attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx, ok, units))
                 if ok:
                     found = idx
                     break
             if found is None:
                 stuck = True
                 break
-            chosen[kk] = avail[kk][found]
             chosen_idx[kk] = found
-            merged_so_far = sorted(merged_so_far + list(chosen[kk]))
+            merged_ids = np.sort(np.concatenate((merged_ids, avail_ids[kk][found])))
         if stuck:
-            return _ClusterResult(PartialPartition(game.n, merged_blocks, _trusted=True),
+            return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
                                   leftovers(), tuple(composition), tuple(attempts))
+        composition.append(tuple(avail[kk][chosen_idx[kk]] for kk in range(g)))
         for kk in range(g):
             avail[kk].pop(chosen_idx[kk])
-        merged_blocks.append(tuple(merged_so_far))
-        composition.append(tuple(chosen))  # type: ignore[arg-type]
-    return _ClusterResult(PartialPartition(game.n, merged_blocks, _trusted=True),
+            avail_ids[kk].pop(chosen_idx[kk])
+        merged_blocks.append(tuple(merged_ids.tolist()))
+    return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
                           leftovers(), tuple(composition), tuple(attempts))
 
 
@@ -705,7 +715,10 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
     starts = np.zeros(nb, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    vals = np.add.reduceat(U[rem_arr[:, None], order], starts, axis=1)
+    vals = np.empty((len(rem), nb))
+    for r0 in range(0, len(rem), _GATHER_ROWS):
+        tile = rem_arr[r0:r0 + _GATHER_ROWS]
+        vals[r0:r0 + len(tile)] = np.add.reduceat(U[tile[:, None], order], starts, axis=1)
 
     alive = np.ones(nb, dtype=bool)
     open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition

@@ -252,9 +252,11 @@ def _stays(best: np.ndarray, own: np.ndarray) -> np.ndarray:
     return (best <= own) & (own >= 0)
 
 
-# Restricted growth strings read from ``rgs_strings`` per table slice, and
-# float64 elements per block-sum chunk (partitions × blocks × games × agents):
-# slices and chunks stay well under 1 MB whatever n and the batch size.
+# Restricted growth strings read from ``rgs_strings`` per table slice (int8,
+# _RGS_ROWS × n bytes), and float64 elements per block-sum chunk (partitions ×
+# blocks × games × agents).  A chunk holds at least one partition, so it holds
+# max(_CHUNK, k·T·n) sums: 256 KB while k·T·n ≤ _CHUNK, but T = 2,000 games at
+# n = 9 make one-partition chunks of up to 9·2,000·9 sums (1.3 MB) at k = 9.
 _RGS_ROWS = 1 << 14
 _CHUNK = 1 << 15
 

@@ -3,11 +3,12 @@
 Seven concepts are supported, all driven by single-agent deviations or by
 per-agent denial conditions.  ``check`` is the witness-producing reference
 implementation; ``concept_profile`` evaluates all seven at once and is the
-hot path for Monte Carlo campaigns.  It builds k x n favour masks from
-column-wise max/min over each block's rows, then takes the block sums in
-tiles of ``_TILE_ROWS`` agent rows, so its extra memory is O(k * n) and no
-n x n array is formed.  Each sum is one ``np.add.reduceat`` over the row's
-block-ordered entries, bit-identical to a single ``reduceat`` over the table.
+hot path for Monte Carlo campaigns.  It reads each agent's own block for the
+exit-denied and contractual vetoes, then takes block sums and refusal flags in
+tiles of ``_TILE_ROWS`` agent rows, and only for the rows that can still change
+a verdict.  Its extra memory is O(``_TILE_ROWS`` * n) and no n x n array is
+formed.  Each sum is one ``np.add.reduceat`` over the row's block-ordered
+entries, bit-identical to a single ``reduceat`` over the table.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ __all__ = [
     "IMPLICATIONS",
 ]
 
-# Agent rows per block-sum tile of ``concept_profile`` (about 2 MB of float64 at
-# n = 4000), also the number of blocks per row gather in its favour masks.
+# Agent rows per tile of ``concept_profile`` (about 2 MB of float64 at n = 4000).
 _TILE_ROWS = 64
 
 
@@ -126,44 +126,61 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     return Verdict(True)
 
 
-def _favour_masks(U: np.ndarray, order: np.ndarray, starts: np.ndarray,
-                  block_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``fin[j, a]``: some member of block j has a positive utility for a; ``fout``: negative.
+def _own_favour(U: np.ndarray, labels: np.ndarray, order: np.ndarray,
+                starts: np.ndarray, block_sizes: np.ndarray) -> np.ndarray:
+    """``own_fin[a]``: some other member of a's own block has a positive utility for a.
 
-    Blocks of equal size m are stacked into a (blocks, m) member table, and
-    the column-wise max and min over their members' rows are taken with m
-    row gathers of at most ``_TILE_ROWS`` blocks each.  Max and min are exact
-    in any order, and the diagonal 0 never passes either strict test.
+    Rows are read in tiles of ``_TILE_ROWS`` agents in block order.  A tile's
+    own blocks occupy one contiguous window of the block order, so each tile
+    gathers at most ``_TILE_ROWS`` x n entries and keeps the same-block ones;
+    the diagonal 0 never passes the strict test.
     """
-    k, n = len(block_sizes), U.shape[0]
-    fin = np.empty((k, n), dtype=bool)
-    fout = np.empty((k, n), dtype=bool)
-    for m in np.unique(block_sizes):
-        ids = np.flatnonzero(block_sizes == m)
-        members = order[starts[ids][:, None] + np.arange(m)]
-        for c0 in range(0, len(ids), _TILE_ROWS):
-            rows = members[c0:c0 + _TILE_ROWS]
-            hi = U[rows[:, 0]]
-            lo = hi.copy()
-            for i in range(1, m):
-                nxt = U[rows[:, i]]
-                np.maximum(hi, nxt, out=hi)
-                np.minimum(lo, nxt, out=lo)
-            blk = ids[c0:c0 + _TILE_ROWS]
-            fin[blk] = hi > 0
-            fout[blk] = lo < 0
-    return fin, fout
+    n = len(order)
+    sorted_labels = labels[order]
+    own_fin = np.zeros(n, dtype=bool)
+    for t0 in range(0, n, _TILE_ROWS):
+        t1 = min(t0 + _TILE_ROWS, n)
+        c0 = starts[sorted_labels[t0]]
+        c1 = starts[sorted_labels[t1 - 1]] + block_sizes[sorted_labels[t1 - 1]]
+        likes = U[order[t0:t1, None], order[c0:c1]] > 0
+        likes &= sorted_labels[t0:t1, None] == sorted_labels[c0:c1]
+        own_fin[order[c0:c1]] |= likes.any(axis=0)
+    return own_fin
+
+
+def _block_rows(U: np.ndarray, rows: np.ndarray, order: np.ndarray,
+                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block sums and refusals for the agents ``rows`` (ascending ids).
+
+    ``S[r, j]`` is the sum of ``rows[r]``'s utilities over block j, one
+    ``np.add.reduceat`` over the row's block-ordered entries, so it is
+    bit-identical whichever rows are asked for together.  ``fout[r, j]``: some
+    member of block j has a negative utility for ``rows[r]``.  The any-reduction
+    over each block's members ORs the refusal flags eight bytes at a time; the
+    flags are 0 or 1, so each byte of the OR is exactly their any.
+    """
+    n, m = U.shape[0], len(rows)
+    S = np.add.reduceat(U[rows[:, None], order], starts, axis=1)
+    contiguous = rows[-1] - rows[0] == m - 1
+    cols = U[:, rows[0]:rows[0] + m] if contiguous else U[:, rows]
+    neg = np.zeros((n, -(-m // 8) * 8), dtype=bool)
+    np.less(cols, 0, out=neg[:, :m])
+    fout = np.bitwise_or.reduceat(neg[order].view(np.uint64), starts, axis=0)
+    return S, fout.view(bool)[:, :m].T
 
 
 def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bool]:
     """Evaluate all seven concepts at once (no witnesses).
 
-    Block sums ``S[a, j]`` are taken in tiles of ``_TILE_ROWS`` agent rows by
-    ``np.add.reduceat`` over each row's block-ordered columns, so every sum
-    (and hence ``own`` and the best other block) is bit-identical to one
-    ``reduceat`` over the whole table.  Each tile's deviation masks are formed
-    against the k x n favour masks and reduced at once.  Extra memory is
-    O(k * n) booleans plus O(``_TILE_ROWS`` * n) floats; no n x n array is built.
+    Each agent row is scanned only while it can still change a verdict.  Full
+    tiles of ``_TILE_ROWS`` rows are scanned while Nash, IS, IR or
+    enter-denied can still hold; after that only the rows of agents whose own
+    block holds nobody who likes them (``~own_fin``), since only those can
+    break CNS or CIS, and only while CIS holds (a CIS violation is a CNS one).
+    ``own_fin``, and with it exit-denied, is read from each agent's own block.
+    The block sums of a row are one ``np.add.reduceat`` over its block-ordered
+    columns, bit-identical to one ``reduceat`` over the whole table.  Extra
+    memory is O(``_TILE_ROWS`` * n); no n x n or k x n array is built.
     """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
@@ -175,33 +192,42 @@ def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bo
     block_sizes = np.bincount(labels, minlength=k)
     starts = np.zeros(k, dtype=np.intp)
     np.cumsum(block_sizes[:-1], out=starts[1:])
-    fin, fout = _favour_masks(U, order, starts, block_sizes)
+    own_fin = _own_favour(U, labels, order, starts, block_sizes)
 
-    nash = individual = cns = cis = ir = enter = exit_ = True
-    for r0 in range(0, n, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, n)
-        ar = np.arange(r1 - r0)
-        lab = labels[r0:r1]
-        # S[a, j] = sum of a's utilities over block j (own diagonal contributes 0).
-        S = np.add.reduceat(U[r0:r1][:, order], starts, axis=1)
+    def deviations(rows):
+        """Nash and IS deviation flags of ``rows``, their own sums and open blocks."""
+        ar = np.arange(len(rows))
+        lab = labels[rows]
+        S, fout = _block_rows(U, rows, order, starts)
         own = S[ar, lab]
         S[ar, lab] = -np.inf  # now the other blocks only; max is -inf when k == 1
-        mx_other = S.max(axis=1)
-        own_fin = fin[lab, ar + r0]
         leave = (block_sizes[lab] > 1) & (own < 0)  # strict gain as a new singleton
-
-        enter_open = ~fout[:, r0:r1].T
+        enter_open = ~fout
         enter_open[ar, lab] = False
-        nash_dev = (mx_other > own) | leave
+        nash_dev = (S.max(axis=1) > own) | leave
         is_dev = ((S > own[:, None]) & enter_open).any(axis=1) | leave
+        return nash_dev, is_dev, own, enter_open
 
+    nash = individual = cns = cis = ir = enter = True
+    scanned = 0
+    while scanned < n and (nash or individual or ir or enter):
+        rows = np.arange(scanned, min(scanned + _TILE_ROWS, n))
+        nash_dev, is_dev, own, enter_open = deviations(rows)
+        contested = ~own_fin[rows]
         nash = nash and not nash_dev.any()
         individual = individual and not is_dev.any()
-        cns = cns and not (nash_dev & ~own_fin).any()
-        cis = cis and not (is_dev & ~own_fin).any()
+        cns = cns and not (nash_dev & contested).any()
+        cis = cis and not (is_dev & contested).any()
         ir = ir and bool((own >= 0).all())
         enter = enter and not enter_open.any()
-        exit_ = exit_ and bool(own_fin.all())
+        scanned = rows[-1] + 1
+    contested = scanned + np.flatnonzero(~own_fin[scanned:])
+    for t0 in range(0, len(contested), _TILE_ROWS):
+        if not cis:
+            break
+        nash_dev, is_dev, _, _ = deviations(contested[t0:t0 + _TILE_ROWS])
+        cns = cns and not nash_dev.any()
+        cis = not is_dev.any()
 
     return {
         Concept.NASH: nash,
@@ -210,7 +236,7 @@ def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bo
         Concept.CONTRACTUAL_INDIVIDUAL: cis,
         Concept.INDIVIDUALLY_RATIONAL: ir,
         Concept.ENTER_DENIED: enter,
-        Concept.EXIT_DENIED: exit_,
+        Concept.EXIT_DENIED: bool(own_fin.all()),
     }
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +132,21 @@ class TestMc:
 
     def test_missing_n_is_input_error(self, capsys):
         assert main(["mc", "--kind", "mc-grand", "--trials", "5"]) == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,compat", [("tuned", "2.0"), ("gated", "0.25")])
+def test_mc_alg_export_is_pinned(tmp_path, capsys, name, compat):
+    """Fixed-seed ``mc-alg`` exports at n = 200, 500 equal the committed CSVs byte for byte.
+
+    The CSVs were written by an earlier version of the program; a change to
+    sampling, clustering or the concept verdicts that moves any count shows here.
+    """
+    out = tmp_path / "res.csv"
+    code, _ = run_cli(capsys, "mc", "--kind", "mc-alg", "--n", "200,500", "--trials", "20",
+                      "--seed", "7", "--groups", "4", "--tau", "0.5", "--compat", compat,
+                      "--clique-size", "2", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA / f"mc_alg_{name}_seed7.csv").read_bytes()

@@ -623,3 +623,22 @@ def test_run_three_stage_memory_at_n1000():
         tracemalloc.stop()
     assert len(ledger) > 0
     assert peak < 4 * n * n, f"{peak / n**2:.2f} n^2 bytes"
+
+
+@pytest.mark.parametrize("compat", [2.0, 0.25])
+def test_run_three_stage_memory_with_tiled_stage3(compat):
+    # The benchmark's two configs at n=1000 (clique size 2).  With compat 0.25
+    # ~430 remainder agents face ~570 merged members: one stage-3 gather of
+    # their utilities would be ~2 n^2 bytes, and it peaked at 4.2 n^2.
+    n = 1000
+    cfg = AlgoConfig(num_groups=4, edge_threshold=0.5, compat_constant=compat,
+                     clique_size_rule=lambda m: 2)
+    game = sample_game(n, D, SeedSpec(1))
+    tracemalloc.start()
+    try:
+        _partition, _report, ledger = run_three_stage(game, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) > 0
+    assert peak < 3.25 * n * n, f"{peak / n**2:.2f} n^2 bytes"

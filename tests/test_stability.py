@@ -287,6 +287,83 @@ class TestProfileAcrossTiles:
         assert concept_profile(g, p) == expected
 
 
+class TestProfileRestrictedRows:
+    """The scan past the first tile, which reads only rows without an own-block friend.
+
+    Agent 0 fails Nash, IS, IR and enter-denied, so after the first tile only
+    CNS and CIS can still hold.  Agent ``PLANTED`` (in the last, partial tile)
+    loses every own-block friend; it then breaks CNS alone (a gain without the
+    target's consent), CIS and CNS (with consent), or neither.
+    """
+
+    N = TestProfileAcrossTiles.N
+    PLANTED = TestProfileAcrossTiles.PLANTED_AGENTS[1]
+
+    def game(self, case):
+        labels = TestProfileAcrossTiles.labels("mixed", self.N)
+        big = int(np.flatnonzero(np.bincount(labels) > 1)[0])
+        first = int(np.flatnonzero(labels == big)[0])
+        labels[0], labels[first] = labels[first], labels[0]  # agent 0 joins a block
+        arr = TestProfileAcrossTiles.base_utilities(labels)
+        plant = TestProfileAcrossTiles.plant
+        assert plant(arr, labels, 0, Concept.INDIVIDUALLY_RATIONAL)
+        assert plant(arr, labels, 0, Concept.ENTER_DENIED)
+        concept = {"cns": Concept.CONTRACTUAL_NASH, "cis": Concept.CONTRACTUAL_INDIVIDUAL,
+                   "none": Concept.EXIT_DENIED}[case]
+        assert plant(arr, labels, self.PLANTED, concept)
+        return HedonicGame(arr), Partition.from_labels(labels)
+
+    @pytest.mark.parametrize("case", ["cns", "cis", "none"])
+    def test_profile_matches_check(self, case):
+        assert self.N - 1 - self.PLANTED < self.N % _TILE_ROWS  # in the last, partial tile
+        g, p = self.game(case)
+        expected = {c: check(g, p, c).stable for c in Concept}
+        for concept in (Concept.NASH, Concept.INDIVIDUAL, Concept.INDIVIDUALLY_RATIONAL,
+                        Concept.ENTER_DENIED):
+            witness = check(g, p, concept).witness
+            assert (witness.agent if isinstance(witness, Deviation) else witness[0]) == 0
+        assert expected[Concept.CONTRACTUAL_NASH] == (case == "none")
+        assert expected[Concept.CONTRACTUAL_INDIVIDUAL] == (case != "cis")
+        assert concept_profile(g, p) == expected
+
+
+class TestProfileMemory:
+    """``concept_profile`` keeps O(_TILE_ROWS * n) extra memory on every block shape.
+
+    The grand coalition is the shape where a per-block cube of own-block
+    utilities would be n x n (~18 MB at n = 1500); singletons give the most
+    blocks.  Each shape runs on a U(-1, 1) game, where the full-tile scan
+    stops after one tile, and on a game where every row must be scanned.
+    """
+
+    N = 1500
+    PEAK_BYTES = 2.5 * 2**20
+
+    @pytest.mark.parametrize("shape", ["grand", "singletons", "pairs", "9-blocks"])
+    def test_peak_at_n1500(self, shape):
+        n = self.N
+        labels = {"grand": np.zeros(n, dtype=np.int64), "singletons": np.arange(n),
+                  "pairs": np.arange(n) // 2,
+                  "9-blocks": np.random.default_rng(41).permutation(np.arange(n) // 9)}[shape]
+        p = Partition.from_labels(labels)
+        uniform = sample_game(n, D, SeedSpec(42))
+        mag = np.abs(uniform.utilities) + 0.1
+        arr = np.where(labels[:, None] == labels[None, :], mag, -mag)
+        np.fill_diagonal(arr, 0.0)
+        planted = HedonicGame(arr)
+        del arr, mag
+        tracemalloc.start()
+        try:
+            for g in (uniform, planted):
+                tracemalloc.reset_peak()
+                prof = concept_profile(g, p)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak <= self.PEAK_BYTES, f"{shape}: {peak / 2**20:.2f} MB"
+        finally:
+            tracemalloc.stop()
+        assert prof[Concept.NASH]  # the planted game holds, so every row was read
+
+
 class TestCheckMemory:
     """``check`` reads one row or column at a time, never the whole table.
 
