@@ -161,6 +161,8 @@ def _block_rows(U: np.ndarray, rows: np.ndarray, order: np.ndarray,
     """
     n, m = U.shape[0], len(rows)
     S = np.add.reduceat(U[rows[:, None], order], starts, axis=1)
+    # Adjacent rows (every full tile) read their columns as a slice, which is
+    # faster than a gather.
     contiguous = rows[-1] - rows[0] == m - 1
     cols = U[:, rows[0]:rows[0] + m] if contiguous else U[:, rows]
     neg = np.zeros((n, -(-m // 8) * 8), dtype=bool)
