@@ -124,11 +124,15 @@ def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
 
 
 class _Blocks:
-    """Shared machinery for full and partial coalition structures."""
+    """Shared machinery for full and partial coalition structures.
+
+    ``_index`` maps each covered agent to its block index; each subclass
+    chooses its form in ``_build_index``.
+    """
 
     __slots__ = ("_n", "_coalitions", "_index")
 
-    def __init__(self, n: int, coalitions: Iterable[Iterable[int]], *, cover: bool,
+    def __init__(self, n: int, coalitions: Iterable[Iterable[int]], *,
                  _trusted: bool = False) -> None:
         if n < 1:
             raise PartitionError("n must be positive")
@@ -136,23 +140,22 @@ class _Blocks:
         if _trusted:
             # The caller guarantees nonempty, disjoint, in-range blocks.
             self._coalitions = tuple(coalitions)
-            index = {a: i for i, block in enumerate(self._coalitions) for a in block}
         else:
             self._coalitions = _normalize_blocks(coalitions)
-            index = {}
-            for i, block in enumerate(self._coalitions):
+            seen: set[int] = set()
+            for block in self._coalitions:
                 if not block:
                     raise PartitionError("coalitions must be nonempty")
                 for a in block:
                     if not 0 <= a < n:
                         raise PartitionError(f"agent id {a} outside 0..{n - 1}")
-                    if a in index:
+                    if a in seen:
                         raise PartitionError(f"agent {a} appears in two coalitions")
-                    index[a] = i
-        if cover and len(index) != n:
-            missing = sorted(set(range(n)) - index.keys())
-            raise PartitionError(f"agents {missing[:5]} not covered by any coalition")
-        self._index = index
+                    seen.add(a)
+        self._index = self._build_index()
+
+    def _build_index(self):
+        raise NotImplementedError
 
     @property
     def n(self) -> int:
@@ -163,7 +166,7 @@ class _Blocks:
         return self._coalitions
 
     def coalition_of(self, a: int) -> tuple[int, ...]:
-        return self._coalitions[self._index[a]]
+        return self._coalitions[self.index_of(a)]
 
     def index_of(self, a: int) -> int:
         return self._index[a]
@@ -190,31 +193,57 @@ class Partition(_Blocks):
     """Disjoint nonempty coalitions covering all ``n`` agents.
 
     Block order is preserved as given; coalition indices are meaningful (they
-    appear in deviations and witnesses).
+    appear in deviations and witnesses).  Every agent has a block, so the
+    agent-to-block map is one tuple of block indices, the ``assignment``.
     """
 
-    def __init__(self, n: int, coalitions: Iterable[Iterable[int]], *,
-                 _trusted: bool = False) -> None:
-        super().__init__(n, coalitions, cover=True, _trusted=_trusted)
+    __slots__ = ()
+
+    def _build_index(self) -> tuple[int, ...]:
+        assignment = [-1] * self._n
+        for i, block in enumerate(self._coalitions):
+            for a in block:
+                assignment[a] = i
+        if -1 in assignment:
+            missing = [a for a, i in enumerate(assignment) if i < 0]
+            raise PartitionError(f"agents {missing[:5]} not covered by any coalition")
+        return tuple(assignment)
+
+    @classmethod
+    def _from_assignment(cls, coalitions: tuple[tuple[int, ...], ...],
+                         assignment: tuple[int, ...]) -> "Partition":
+        """Wrap blocks and the matching assignment the caller guarantees, unchecked."""
+        obj = object.__new__(cls)
+        obj._n = len(assignment)
+        obj._coalitions = coalitions
+        obj._index = assignment
+        return obj
 
     @property
     def assignment(self) -> tuple[int, ...]:
-        return tuple(self._index[a] for a in range(self._n))
+        """Block index of every agent, in agent order."""
+        return self._index
+
+    def index_of(self, a: int) -> int:
+        # A bare tuple index would answer a < 0 with some other agent's block.
+        if not 0 <= a < self._n:
+            raise KeyError(a)
+        return self._index[a]
 
     def labels(self) -> np.ndarray:
-        out = np.empty(self._n, dtype=np.int64)
-        for i, block in enumerate(self._coalitions):
-            for a in block:
-                out[a] = i
-        return out
+        return np.array(self._index, dtype=np.int64)
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
         """Build a partition from per-agent block labels, blocks ordered by first occurrence."""
-        order: dict[int, list[int]] = {}
-        for a, lab in enumerate(labels):
-            order.setdefault(int(lab), []).append(a)
-        return cls(len(labels), order.values())
+        if len(labels) < 1:
+            raise PartitionError("n must be positive")
+        relabel: dict[int, int] = {}
+        assignment = tuple([relabel.setdefault(int(lab), len(relabel)) for lab in labels])
+        blocks: list[list[int]] = [[] for _ in relabel]
+        for a, i in enumerate(assignment):
+            blocks[i].append(a)
+        return cls._from_assignment(tuple([tuple(blk) for blk in blocks]), assignment)
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -250,9 +279,10 @@ class Partition(_Blocks):
 class PartialPartition(_Blocks):
     """Disjoint nonempty coalitions over a subset of the agents."""
 
-    def __init__(self, n: int, coalitions: Iterable[Iterable[int]], *,
-                 _trusted: bool = False) -> None:
-        super().__init__(n, coalitions, cover=False, _trusted=_trusted)
+    __slots__ = ()
+
+    def _build_index(self) -> dict[int, int]:
+        return {a: i for i, block in enumerate(self._coalitions) for a in block}
 
     @property
     def carrier(self) -> frozenset[int]:

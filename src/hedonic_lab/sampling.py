@@ -112,12 +112,16 @@ def sample_game(n: int, dist: UtilityDistribution, seed: SeedSpec,
                 *, out: np.ndarray | None = None) -> HedonicGame:
     """Sample a random game with every off-diagonal entry an i.i.d. draw from ``dist``.
 
-    ``out`` reuses a caller-owned (n, n) float64 buffer for tight loops; the
-    values are identical to a fresh allocation, but any game previously
-    wrapping that buffer must no longer be read.
+    ``out`` reuses a caller-owned C-contiguous (n, n) float64 buffer for
+    tight loops; the values are identical to a fresh allocation, but any game
+    previously wrapping that buffer must no longer be read.  Any other ``out``
+    raises ``ValueError``: the draws fill the buffer in C order.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (n, n) and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 ({n}, {n}) array")
     rng = seed.rng()
     if out is not None:
         out.setflags(write=True)

@@ -80,47 +80,76 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     """Decide ``concept`` for the pair, returning the first witness when it fails.
 
     Witness order is deterministic: lowest agent id first, then lowest target
-    coalition index, with the fresh-singleton move last.  One pass per agent
-    reads its utility row (and, where favour sets matter, its column) once as
-    Python floats.  Each coalition sum adds the members in coalition order from
-    0, exactly as ``coalition_utility`` does, so every sum and every strict
-    comparison is the same as the definition's.
+    coalition index, with the fresh-singleton move last.  Each agent's block is
+    read from the partition's assignment tuple.  One pass per agent reads its
+    utility row once as Python floats; the favour tests read single entries of
+    its column, through a memoryview of the table, only until they are
+    decided.  Memory stays O(n).  The scans are plain loops: each coalition
+    sum adds the members in coalition order from 0, exactly as
+    ``coalition_utility`` does, so every sum and every strict comparison is the
+    same as the definition's.  The favour tests may include the agent itself,
+    whose diagonal 0 is neither positive nor negative.
     """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
     if not isinstance(concept, Concept):
         raise ValueError(f"unhandled concept {concept}")
     U = game.utilities
+    entry = memoryview(U)  # entry[b, a]: U[b, a] as a Python float, nothing copied
     blocks = partition.coalitions
+    assignment = partition.assignment
     needs_consent = concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL)
     contractual = concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL)
-    favours = concept not in (Concept.NASH, Concept.INDIVIDUALLY_RATIONAL)
-    for a in range(game.n):
-        own_idx = partition.index_of(a)
+    vetoes = contractual or concept is Concept.EXIT_DENIED
+    for a, own_idx in enumerate(assignment):
         own = blocks[own_idx]
-        col = U[:, a].tolist() if favours else None
-        if concept is Concept.EXIT_DENIED:
-            if not any(col[b] > 0 for b in own if b != a):
-                return Verdict(False, (a, own_idx))
-            continue
+        if vetoes:
+            # kept: an own-coalition member wants a to stay.  That denies a's
+            # exit, and under the contractual concepts vetoes every move alike.
+            kept = False
+            for b in own:
+                if entry[b, a] > 0:
+                    kept = True
+                    break
+            if concept is Concept.EXIT_DENIED:
+                if not kept:
+                    return Verdict(False, (a, own_idx))
+                continue
+            if kept:
+                continue
         if concept is Concept.ENTER_DENIED:
             for j, block in enumerate(blocks):
-                if j != own_idx and not any(col[b] < 0 for b in block):
-                    return Verdict(False, (a, j))
-            continue
-        # An own-coalition member who wants a to stay vetoes every move alike.
-        if contractual and any(col[b] > 0 for b in own if b != a):
+                if j != own_idx:
+                    for b in block:
+                        if entry[b, a] < 0:
+                            break
+                    else:
+                        return Verdict(False, (a, j))
             continue
         row = U[a].tolist()
-        current = float(sum(row[b] for b in own if b != a))
+        current = 0
+        for b in own:
+            if b != a:
+                current += row[b]
         if concept is Concept.INDIVIDUALLY_RATIONAL:
             if current < 0:
                 return Verdict(False, (a, own_idx))
             continue
         for j, block in enumerate(blocks):
-            if (j != own_idx and sum(row[b] for b in block) > current
-                    and not (needs_consent and any(col[b] < 0 for b in block))):
-                return Verdict(False, Deviation(a, j))
+            if j == own_idx:
+                continue
+            value = 0
+            for b in block:
+                value += row[b]
+            if value > current:
+                if needs_consent:
+                    for b in block:
+                        if entry[b, a] < 0:
+                            break
+                    else:
+                        return Verdict(False, Deviation(a, j))
+                else:
+                    return Verdict(False, Deviation(a, j))
         if len(own) > 1 and 0.0 > current:
             return Verdict(False, Deviation(a, NEW_SINGLETON))
     return Verdict(True)

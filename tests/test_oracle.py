@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hedonic_lab.oracle as oracle_module
+from hedonic_lab.clustering import AlgoConfig, run_three_stage
 from hedonic_lab.games import (
     HedonicGame,
     Partition,
@@ -87,6 +89,38 @@ class TestTrustedPartitions:
             assert q == p
             assert [q.index_of(a) for a in range(n)] == [p.index_of(a) for a in range(n)]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_trusted_lookups_equal_validated(self, n):
+        for p in enumerate_partitions(n):
+            q = Partition(n, p.coalitions)
+            expected = tuple(next(i for i, blk in enumerate(p.coalitions) if a in blk)
+                             for a in range(n))
+            assert p.assignment == q.assignment == expected
+            assert p.labels().dtype == q.labels().dtype == np.int64
+            assert p.labels().tolist() == q.labels().tolist() == list(expected)
+            assert [p.coalition_of(a) for a in range(n)] == [q.coalition_of(a) for a in range(n)]
+            assert Partition.from_labels(p.assignment) == p
+
+    @staticmethod
+    def _three_stage_partitions():
+        for seed, cfg in ((1, AlgoConfig(num_groups=4, compat_constant=2.0)),
+                          (2, AlgoConfig(num_groups=4, compat_constant=0.25)),
+                          (3, AlgoConfig())):
+            partition, _, _ = run_three_stage(sample_game(60, D, SeedSpec(seed)), cfg)
+            yield partition
+
+    def test_out_of_range_agents_raise_key_error(self):
+        n = 5
+        partitions = list(enumerate_partitions(n))
+        partitions += [Partition(n, p.coalitions) for p in partitions]
+        partitions += list(self._three_stage_partitions())
+        for p in partitions:
+            for bad in (-1, p.n):
+                with pytest.raises(KeyError):
+                    p.index_of(bad)
+                with pytest.raises(KeyError):
+                    p.coalition_of(bad)
+
     def test_untrusted_construction_still_validates(self):
         n = 5
         for p in enumerate_partitions(n):
@@ -99,6 +133,52 @@ class TestTrustedPartitions:
             short = [kept for b in blocks if (kept := [a for a in b if a != n - 1])]
             with pytest.raises(PartitionError, match="not covered"):
                 Partition(n, short)
+
+
+class TestTracedContract:
+    """One ``check`` call per enumerated string, counted the way the benchmark's tracer does.
+
+    The tracer swaps counting wrappers into ``oracle.check`` and
+    ``oracle.rgs_strings``; a scan that stops calling either through the module
+    namespace, or calls ``check`` more than once per partition, fails here.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"check": 0, "strings": 0}
+        orig_check, orig_rgs = oracle_module.check, oracle_module.rgs_strings
+
+        def check(*args, **kwargs):
+            counts["check"] += 1
+            return orig_check(*args, **kwargs)
+
+        def rgs_strings(n):
+            for labels in orig_rgs(n):
+                counts["strings"] += 1
+                yield labels
+
+        monkeypatch.setattr(oracle_module, "check", check)
+        monkeypatch.setattr(oracle_module, "rgs_strings", rgs_strings)
+        return counts
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_count_stable_checks_each_partition_once(self, counts, n):
+        g = sample_game(n, D, SeedSpec(7_100 + n))
+        for concept in (Concept.CONTRACTUAL_NASH, Concept.NASH, Concept.ENTER_DENIED):
+            counts.update(check=0, strings=0)
+            count_stable(g, concept)
+            assert counts == {"check": BELL[n], "strings": BELL[n]}, concept
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exists_stable_stops_at_witness(self, counts, n):
+        partitions = list(enumerate_partitions(n))
+        for seed in range(3):
+            g = sample_game(n, D, SeedSpec(7_200 + 10 * n + seed))
+            for concept in Concept:
+                counts.update(check=0, strings=0)
+                witness = exists_stable(g, concept)
+                calls = BELL[n] if witness is None else partitions.index(witness) + 1
+                assert counts == {"check": calls, "strings": calls}, concept
 
 
 class TestStirling:

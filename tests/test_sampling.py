@@ -113,3 +113,16 @@ def test_out_buffer_matches_fresh_allocation():
     b = sample_game(30, D, SeedSpec(64), out=buf)
     assert np.array_equal(a.utilities, b.utilities)
     assert b.utilities is buf
+
+
+@pytest.mark.parametrize("buf", [
+    np.zeros((5, 5), order="F"),
+    np.zeros((5, 6)),
+    np.zeros((4, 4)),
+    np.zeros(25),
+    np.zeros((5, 5), dtype=np.float32),
+    np.zeros((5, 10))[:, ::2],
+], ids=["fortran-order", "wrong-shape", "wrong-n", "flat", "float32", "strided"])
+def test_out_buffer_must_be_c_contiguous_float64_square(buf):
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        sample_game(5, D, SeedSpec(3), out=buf)
