@@ -137,24 +137,26 @@ class _Blocks:
         if n < 1:
             raise PartitionError("n must be positive")
         self._n = n
+        owner = None
         if _trusted:
             # The caller guarantees nonempty, disjoint, in-range blocks.
             self._coalitions = tuple(coalitions)
         else:
             self._coalitions = _normalize_blocks(coalitions)
-            seen: set[int] = set()
-            for block in self._coalitions:
+            owner = [-1] * n
+            for i, block in enumerate(self._coalitions):
                 if not block:
                     raise PartitionError("coalitions must be nonempty")
                 for a in block:
                     if not 0 <= a < n:
                         raise PartitionError(f"agent id {a} outside 0..{n - 1}")
-                    if a in seen:
+                    if owner[a] != -1:
                         raise PartitionError(f"agent {a} appears in two coalitions")
-                    seen.add(a)
-        self._index = self._build_index()
+                    owner[a] = i
+        self._index = self._build_index(owner)
 
-    def _build_index(self):
+    def _build_index(self, owner: list[int] | None):
+        """The agent-to-block index; ``owner`` is the validated per-agent list, or None."""
         raise NotImplementedError
 
     @property
@@ -199,15 +201,16 @@ class Partition(_Blocks):
 
     __slots__ = ()
 
-    def _build_index(self) -> tuple[int, ...]:
-        assignment = [-1] * self._n
-        for i, block in enumerate(self._coalitions):
-            for a in block:
-                assignment[a] = i
-        if -1 in assignment:
-            missing = [a for a, i in enumerate(assignment) if i < 0]
+    def _build_index(self, owner: list[int] | None) -> tuple[int, ...]:
+        if owner is None:
+            owner = [-1] * self._n
+            for i, block in enumerate(self._coalitions):
+                for a in block:
+                    owner[a] = i
+        if -1 in owner:
+            missing = [a for a, i in enumerate(owner) if i < 0]
             raise PartitionError(f"agents {missing[:5]} not covered by any coalition")
-        return tuple(assignment)
+        return tuple(owner)
 
     @classmethod
     def _from_assignment(cls, coalitions: tuple[tuple[int, ...], ...],
@@ -281,7 +284,7 @@ class PartialPartition(_Blocks):
 
     __slots__ = ()
 
-    def _build_index(self) -> dict[int, int]:
+    def _build_index(self, owner: list[int] | None) -> dict[int, int]:
         return {a: i for i, block in enumerate(self._coalitions) for a in block}
 
     @property
