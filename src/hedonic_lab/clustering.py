@@ -176,10 +176,12 @@ class RevelationLedger:
 
     The ledger is one n x n ``int8`` code matrix: 0 unseen, 1 and 2 a stage-1
     observation below / at least the threshold, 3 a stage-2 and 4 a stage-3
-    raw observation.  Writes are queued, as flat keys ``src * n + dst`` or as
-    cross products of agent ids, in runs of one code; before anything reads
-    the matrix the runs are applied in queue order, each as one fancy-indexed
-    ``where(cur == 0, code, cur)``, so the first writer still wins.
+    raw observation.  Stage-1 and stage-2 writes are queued, as flat keys
+    ``src * n + dst`` or as cross products of agent ids, in runs of one code;
+    before anything reads the matrix the runs are applied in queue order, each
+    as one fancy-indexed ``where(cur == 0, code, cur)``, so the first writer
+    still wins.  Stage 3 flushes the queue when it starts and then writes its
+    codes straight into the matrix, only into pairs still at 0.
     ``entries()`` yields in row-major key order, and ``==`` compares the
     effective codes.
     """
@@ -311,7 +313,7 @@ def _check_ledger(game: HedonicGame, ledger: RevelationLedger | None) -> None:
 
 
 def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
-                   steps: list[tuple[tuple[int, ...], np.ndarray]]) -> None:
+                   steps: list[tuple[tuple[int, ...], list[int]]]) -> None:
     """Queue the stage-1 checks of every (members, scanned candidates) growth step.
 
     Each candidate w is checked member by member, u_w(z) then u_z(w), up to
@@ -319,7 +321,7 @@ def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
     twice: a candidate is scanned once per clique and members leave the scan.
     """
     n = ledger.n
-    by_size: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
+    by_size: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for members, scanned in steps:
         by_size.setdefault(len(members), []).append((members, scanned))
     for m, group in by_size.items():
@@ -350,51 +352,51 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
     against every current member reach ``threshold``.  The first seed whose
     clique cannot reach ``size`` stops the whole procedure, returning the
     partial partition built so far and the untouched remainder.
+
+    Candidates are tested one at a time through a memoryview of the table,
+    member by member, u_w(z) then u_z(w), stopping at the first value below
+    ``threshold``; a seed's scan stops at its first hit.  Blocks hold Python
+    ``int``s.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     _check_ledger(game, ledger)
     U = game.utilities
-    R = np.array(sorted(set(carrier)), dtype=np.intp)
-    if R.size and (R[0] < 0 or R[-1] >= game.n):
-        game.check_agent(int(R[0]) if R[0] < 0 else int(R[-1]))
+    R = np.array(sorted(set(carrier)), dtype=np.intp).tolist()
+    if R and (R[0] < 0 or R[-1] >= game.n):
+        game.check_agent(R[0] if R[0] < 0 else R[-1])
+    entry = memoryview(U)  # entry[a, b]: U[a, b] as a Python float, nothing copied
     blocks: list[tuple[int, ...]] = []
-    steps: list[tuple[tuple[int, ...], np.ndarray]] = []  # (members, candidates scanned)
+    steps: list[tuple[tuple[int, ...], list[int]]] = []  # (members, candidates scanned)
     remainder: set[int] = set()
-    while R.size:
-        v = int(R[0])
-        C = [v]
+    while R:
+        C = [R[0]]
         taken = [0]  # positions in R consumed by this clique
-        L = R[1:]
-        pos = 0
-        failed = False
+        i = 1  # next position of R to scan
         while len(C) < size:
-            remaining = L[pos:]
-            if remaining.size == 0:
-                failed = True
+            start = i
+            hit = False
+            while i < len(R):
+                w = R[i]
+                i += 1
+                for z in C:
+                    if entry[w, z] < threshold or entry[z, w] < threshold:
+                        break
+                else:
+                    hit = True
+                    break
+            if i > start:
+                steps.append((tuple(C), R[start:i]))
+            if not hit:
                 break
-            if len(C) == 1:
-                ok = (U[remaining, v] >= threshold) & (U[v, remaining] >= threshold)
-            else:
-                ok = ((U[remaining[:, None], C] >= threshold).all(axis=1)
-                      & (U[np.asarray(C)[:, None], remaining] >= threshold).all(axis=0))
-            hits = np.flatnonzero(ok)
-            if hits.size == 0:
-                steps.append((tuple(C), remaining))
-                failed = True
-                break
-            h = int(hits[0])
-            steps.append((tuple(C), remaining[: h + 1]))
-            C.append(int(remaining[h]))
-            taken.append(1 + pos + h)
-            pos += h + 1
-        if failed:
-            remainder = set(R.tolist())
+            C.append(w)
+            taken.append(i - 1)
+        if len(C) < size:
+            remainder = set(R)
             break
         blocks.append(tuple(C))
-        keep = np.ones(R.size, dtype=bool)
-        keep[taken] = False
-        R = R[keep]
+        for pos in reversed(taken):
+            del R[pos]
     if ledger is not None:
         _record_stage1(ledger, U, threshold, steps)
     return PartialPartition(game.n, blocks, _trusted=True), remainder
@@ -497,7 +499,7 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
 
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
     # Each block's ids as a sorted array, kept parallel to ``avail``.
-    avail_ids = [[np.sort(np.asarray(b, dtype=np.intp)) for b in group] for group in avail]
+    avail_ids = [[np.array(sorted(b), dtype=np.intp) for b in group] for group in avail]
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
     attempts: list[AttemptRecord] = []
@@ -567,6 +569,10 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     (ii) give it strictly positive utility.  When no coalition passes both
     filters, the agent still gets the best unused coalition and the success
     flag drops; when coalitions run out entirely, leftovers become singletons.
+
+    With a ledger, writes still queued by earlier stages are applied first;
+    the stage-3 observations then go straight into the flushed code matrix,
+    each into a pair that no earlier stage revealed.
     """
     rem = sorted(set(remainder))
     for a in rem:
@@ -723,10 +729,12 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     alive = np.ones(nb, dtype=bool)
     open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition
     if ledger is not None:
-        # Stage 3 writes only stage-3 codes, so the links read here hold
-        # throughout the loop.
+        # The queue is empty from here on: stage 3 writes its codes straight
+        # into the matrix, through ``rem_codes``, after the loop.  It writes
+        # only stage-3 codes, so the links read here hold throughout the loop.
         codes = ledger._flush()
-        links = ((codes[rem_arr][:, order] == _STAGE2)
+        rem_codes = codes[rem_arr][:, order]  # codes[a, m]: remainder agent a, merged member m
+        links = ((rem_codes == _STAGE2)
                  | (codes.take(rem_arr, axis=1).take(order, axis=0).T == _STAGE2))
         open_to = ~np.logical_or.reduceat(links, starts, axis=1)
     examined = np.zeros_like(open_to)
@@ -756,8 +764,9 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
         additions[best] = a
         alive[best] = False
     if ledger is not None:
-        seen_at = np.flatnonzero(np.repeat(examined, sizes, axis=1))
-        ledger._enqueue(rem_arr[seen_at // order.size] * n + order[seen_at % order.size], _STAGE3)
+        # Each pair is written at most once, and only where no earlier stage wrote.
+        rem_codes[np.repeat(examined, sizes, axis=1) & (rem_codes == 0)] = _STAGE3
+        codes[rem_arr[:, None], order] = rem_codes
 
     final_blocks: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):

@@ -128,6 +128,81 @@ class TestGreedyCliques:
             assert all(v == 1 for v in below.values())
 
 
+def greedy_cliques_numpy(game, carrier, size, threshold, ledger):
+    """``greedy_cliques`` as a vectorised scan, for cross-checking the scalar one.
+
+    Each growth step tests every remaining candidate against the clique at
+    once and takes the first hit; the ledger replays, one pair at a time, the
+    member-by-member checks of the candidates up to and including that hit.
+    """
+    U = game.utilities
+    R = np.array(sorted(set(carrier)), dtype=np.intp)
+    blocks, steps, remainder = [], [], set()
+    while R.size:
+        v = int(R[0])
+        C, taken, L, pos, failed = [v], [0], R[1:], 0, False
+        while len(C) < size:
+            remaining = L[pos:]
+            if remaining.size == 0:
+                failed = True
+                break
+            ok = ((U[remaining[:, None], C] >= threshold).all(axis=1)
+                  & (U[np.asarray(C)[:, None], remaining] >= threshold).all(axis=0))
+            hits = np.flatnonzero(ok)
+            if hits.size == 0:
+                steps.append((tuple(C), remaining))
+                failed = True
+                break
+            h = int(hits[0])
+            steps.append((tuple(C), remaining[: h + 1]))
+            C.append(int(remaining[h]))
+            taken.append(1 + pos + h)
+            pos += h + 1
+        if failed:
+            remainder = set(R.tolist())
+            break
+        blocks.append(tuple(C))
+        keep = np.ones(R.size, dtype=bool)
+        keep[taken] = False
+        R = R[keep]
+    for members, scanned in steps:
+        for w in scanned.tolist():
+            for a, b in [pair for z in members for pair in ((w, z), (z, w))]:
+                below = U[a, b] < threshold
+                ledger.record(1, a, b, BELOW if below else AT_LEAST)
+                if below:
+                    break
+    return blocks, remainder
+
+
+class TestGreedyCliquesAgainstNumpyScan:
+    N = 90
+    CARRIERS = {
+        "range": lambda n: range(n),
+        "set": lambda n: set(range(1, n, 3)) | {0, n - 1},
+        "list": lambda n: list(range(n - 1, -1, -2)) + [4, 4],
+        "ndarray": lambda n: np.arange(2, n, 2, dtype=np.int32),
+        "generator": lambda n: (a for a in range(n) if a % 5 != 3),
+        "subset": lambda n: [a for a in range(n) if (a * a) % 7 in (1, 2, 4)],
+    }
+
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_same_blocks_remainder_and_ledger(self, size, tau, carrier):
+        for seed in range(3):
+            g = sample_game(self.N, D, SeedSpec(900 + 10 * size + seed))
+            ledger, expected_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
+            pp, rem = greedy_cliques(g, self.CARRIERS[carrier](self.N), size, tau, ledger)
+            blocks, expected_rem = greedy_cliques_numpy(
+                g, self.CARRIERS[carrier](self.N), size, tau, expected_ledger)
+            assert list(pp.coalitions) == blocks
+            assert rem == expected_rem
+            assert ledger == expected_ledger
+            assert all(type(a) is int for block in pp.coalitions for a in block)
+            assert all(type(a) is int for a in rem)
+
+
 class TestIsCompatible:
     CFG = AlgoConfig(num_groups=2, clique_size_rule=lambda n: 2)
 
@@ -244,6 +319,22 @@ class TestCompletePartition:
         partition, ok = complete_partition(g, merged, {4}, ledger)
         assert ok
         assert partition.coalitions == ((0, 1, 4), (2, 3))
+
+    def test_queued_stage2_writes_keep_their_codes(self):
+        # Agent 4 is linked to both coalitions by stage-2 writes still in the
+        # queue, so it falls back and examines every member; stage 3 must not
+        # overwrite the queued stage-2 codes or the flushed stage-1 one.
+        g = game_from({(4, 0): -0.2, (4, 1): -0.2, (4, 2): -0.8, (4, 3): -0.8}, 5)
+        merged = PartialPartition(5, [(0, 1), (2, 3)])
+        ledger = RevelationLedger(5)
+        ledger.record(1, 4, 1, BELOW)
+        ledger.record_block(2, [4], [0])
+        ledger.record_block(2, [2], [4])
+        partition, ok = complete_partition(g, merged, {4}, ledger)
+        assert not ok
+        assert partition.coalitions == ((0, 1, 4), (2, 3))
+        assert sorted((src, dst, st) for st, src, dst, _c in ledger.entries()) == [
+            (2, 4, 2), (4, 0, 2), (4, 1, 1), (4, 2, 3), (4, 3, 3)]
 
     def test_pool_exhaustion_leaves_singletons(self):
         g = game_from({}, 5, default=0.5)
@@ -403,9 +494,12 @@ class ReferenceLedger:
 
     def __init__(self):
         self.seen = {}
+        self.revisits = set()  # (stage, earlier stage) of pairs examined again
 
     def put(self, stage, src, dst, cls):
-        self.seen.setdefault((src, dst), (stage, cls))
+        first = self.seen.setdefault((src, dst), (stage, cls))[0]
+        if first < stage:
+            self.revisits.add((stage, first))
 
     def linked(self, agent, block):
         """Whether a stage-2 entry links ``agent`` with ``block``, either direction."""
@@ -491,7 +585,7 @@ def reference_entries(game, cfg, det):
             for m in merged[i]:
                 led.put(3, agent, m, RAW)
         alive[best] = False
-    return led.entries()
+    return led
 
 
 def assert_ledger_matches_reference(n, g, s, tau, compat, seed):
@@ -499,8 +593,9 @@ def assert_ledger_matches_reference(n, g, s, tau, compat, seed):
                      clique_size_rule=lambda m: s)
     game = sample_game(n, D, SeedSpec(seed))
     det = run_three_stage_detailed(game, cfg)
-    assert set(det.ledger.entries()) == reference_entries(game, cfg, det)
-    return det
+    ref = reference_entries(game, cfg, det)
+    assert set(det.ledger.entries()) == ref.entries()
+    return det, ref
 
 
 # Every g x clique size; tau, compat and n each take all their values, chosen so
@@ -517,12 +612,19 @@ class TestLedgerAgainstReference:
     def test_entries_match_reference(self, g, s, tau, compat, n):
         assert_ledger_matches_reference(n, g, s, tau, compat, seed=5000 + n + 10 * g + s)
 
+    @pytest.mark.parametrize("compat", [2.0, 0.25])
+    def test_benchmark_configs_at_n2000(self, compat):
+        _det, ref = assert_ledger_matches_reference(2000, 4, 2, 0.5, compat, seed=5200)
+        # Stage 3 examined pairs that an earlier stage had already revealed,
+        # so its in-place write must have kept the first writer's code.
+        assert {(3, 1), (3, 2)} & ref.revisits
+
     def test_stage1_stops_on_failed_clique(self):
-        det = assert_ledger_matches_reference(90, 2, 4, 0.5, 2.0, seed=5101)
+        det, _ref = assert_ledger_matches_reference(90, 2, 4, 0.5, 2.0, seed=5101)
         assert any(det.group_remainders)
 
     def test_stage3_runs_out_of_coalitions(self):
-        det = assert_ledger_matches_reference(200, 4, 2, 0.5, 2.0, seed=5102)
+        det, _ref = assert_ledger_matches_reference(200, 4, 2, 0.5, 2.0, seed=5102)
         outcomes = {"out" if best is None else ok for _a, best, ok in det.placements}
         assert outcomes == {"out", True, False}
 
