@@ -8,13 +8,18 @@ stage examined, because the downstream success accounting conditions on what
 was revealed.
 
 All scanning orders are fixed (ascending agent id, clique creation order), so
-identical inputs give identical outputs, ledgers included.
+identical inputs give identical outputs, ledgers included.  Stages 1 and 2
+read single entries through a memoryview of the utility table; stage 2 adds
+its sums in NumPy's pairwise order, so each equals the NumPy row sum of the
+same entries bit for bit.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable
 
 import numpy as np
@@ -413,19 +418,28 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     against the merged union.  Sums are evaluated in ascending agent order and
     evaluation stops at the first violation; each evaluated sum's constituent
     pairs are appended to the ledger as stage-2 raw observations.
+
+    Entries are read one at a time through a memoryview of the table, and each
+    sum is added in NumPy's pairwise order (see ``_row_sum``), so a sum equals
+    the NumPy row sum of the same entries bit for bit.  ``candidate`` and
+    ``merged`` must be disjoint: a shared agent raises ``PartitionError``.
     """
     if k < 2:
         raise ValueError("merge rounds start at k=2")
     _check_ledger(game, ledger)
-    cand = sorted(set(candidate))
-    merged_list = sorted(set(merged))
+    cand_ids = np.array(sorted(set(candidate)), dtype=np.intp)
+    merged_ids = np.array(sorted(set(merged)), dtype=np.intp)
     n = game.n
-    if ((cand and (cand[0] < 0 or cand[-1] >= n))
-            or (merged_list and (merged_list[0] < 0 or merged_list[-1] >= n))):
-        raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
+    for ids in (cand_ids, merged_ids):
+        if ids.size and (ids[0] < 0 or ids[-1] >= n):
+            raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
+    cand, merged_list = cand_ids.tolist(), merged_ids.tolist()
+    shared = set(cand).intersection(merged_list)
+    if shared:
+        raise PartitionError(f"candidate and merged share agents {sorted(shared)[:5]}")
     thr_cand, thr_merged = _compat_thresholds(config, config.clique_size(n), k)
-    ok, units = _admit(game.utilities, np.asarray(cand, dtype=np.intp),
-                       np.asarray(merged_list, dtype=np.intp), k, thr_cand, thr_merged, ledger)
+    ok, units = _admit(memoryview(game.utilities), cand, merged_list, k, thr_cand, thr_merged,
+                       ledger, cand_ids, merged_ids)
     if pair_units_out is not None:
         pair_units_out.append(units)
     return ok
@@ -436,25 +450,60 @@ def _compat_thresholds(config: AlgoConfig, s: int, k: int) -> tuple[float, float
     return -config.compat_constant * s, -(k - 1) * config.compat_constant * s
 
 
-def _admit(U: np.ndarray, cand: np.ndarray, merged: np.ndarray, k: int,
-           thr_cand: float, thr_merged: float,
-           ledger: RevelationLedger | None) -> tuple[bool, int]:
-    """``is_compatible`` on sorted, distinct, valid id arrays; returns (ok, pair units)."""
-    vals_m = U[merged[:, None], cand].sum(axis=1)
-    viol = np.flatnonzero(vals_m < thr_cand)
-    n_eval = len(merged) if viol.size == 0 else int(viol[0]) + 1
+def _row_sum(vals: list[float]) -> float:
+    """``np.add.reduce`` of a contiguous float64 row, in NumPy's summation order, bit for bit.
+
+    NumPy adds the row's pairwise sum to the identity +0.0.  The pairwise sum
+    runs sequentially below 8 terms; from 8 to 128 terms it keeps eight
+    strided accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and then adds the tail of fewer than 8; above 128 it splits at half the
+    length, rounded down to a multiple of 8.  NumPy starts its sequential runs
+    from -0.0; starting every run from +0.0 instead yields the identity's
+    +0.0 for an all-zero row and the same bits everywhere else.
+    """
+    n = len(vals)
+    if n < 8:
+        return reduce(add, vals, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, vals[j:m:8], 0.0) for j in range(8)]
+        return reduce(add, vals[m:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _row_sum(vals[:half]) + _row_sum(vals[half:])
+
+
+def _admit(entry: memoryview, cand: list[int], merged: list[int], k: int,
+           thr_cand: float, thr_merged: float, ledger: RevelationLedger | None,
+           cand_ids: np.ndarray, merged_ids: np.ndarray) -> tuple[bool, int]:
+    """``is_compatible`` on sorted, disjoint, valid ids; returns (ok, pair units).
+
+    ``entry`` is a memoryview of the utility table; ``cand_ids`` and
+    ``merged_ids`` hold ``cand`` and ``merged`` as index arrays, which the
+    ledger's block writes take.
+    """
+    n_eval = 0
+    ok = True
+    for a in merged:
+        n_eval += 1
+        if _row_sum([entry[a, b] for b in cand]) < thr_cand:
+            ok = False
+            break
     units = n_eval
     if ledger is not None:
-        ledger._enqueue_block(merged[:n_eval], cand, _STAGE2)
-    if viol.size > 0:
+        ledger._enqueue_block(merged_ids[:n_eval], cand_ids, _STAGE2)
+    if not ok:
         return False, units
-    vals_c = U[cand[:, None], merged].sum(axis=1)
-    viol2 = np.flatnonzero(vals_c < thr_merged)
-    n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
+    n_eval2 = 0
+    for b in cand:
+        n_eval2 += 1
+        if _row_sum([entry[b, a] for a in merged]) < thr_merged:
+            ok = False
+            break
     units += n_eval2 * (k - 1)
     if ledger is not None:
-        ledger._enqueue_block(cand[:n_eval2], merged, _STAGE2)
-    return viol2.size == 0, units
+        ledger._enqueue_block(cand_ids[:n_eval2], merged_ids, _STAGE2)
+    return ok, units
 
 
 @dataclass(frozen=True)
@@ -493,13 +542,15 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     if max((max(c) for c in carriers if c), default=-1) >= n:
         raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
     _check_ledger(game, ledger)
-    U = game.utilities
+    entry = memoryview(game.utilities)
     s = config.clique_size(n)
     thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
 
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
-    # Each block's ids as a sorted array, kept parallel to ``avail``.
+    # Each block's ids as a sorted array and as a sorted list, kept parallel to
+    # ``avail``: the sums read the lists, the ledger's block writes take the arrays.
     avail_ids = [[np.array(sorted(b), dtype=np.intp) for b in group] for group in avail]
+    avail_lists = [[ids.tolist() for ids in group] for group in avail_ids]
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
     attempts: list[AttemptRecord] = []
@@ -513,14 +564,14 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
 
     while avail[0]:
         chosen_idx: list[int] = [0] * g
-        merged_ids = avail_ids[0][0]
+        merged_ids, merged_list = avail_ids[0][0], avail_lists[0][0]
         stuck = False
         for kk in range(1, g):
             thr_cand, thr_merged = thresholds[kk]
             found = None
-            for idx, cand_ids in enumerate(avail_ids[kk]):
-                ok, units = _admit(U, cand_ids, merged_ids, kk + 1, thr_cand, thr_merged,
-                                   ledger)
+            for idx, (cand, cand_ids) in enumerate(zip(avail_lists[kk], avail_ids[kk])):
+                ok, units = _admit(entry, cand, merged_list, kk + 1, thr_cand, thr_merged,
+                                   ledger, cand_ids, merged_ids)
                 attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx, ok, units))
                 if ok:
                     found = idx
@@ -530,6 +581,7 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
                 break
             chosen_idx[kk] = found
             merged_ids = np.sort(np.concatenate((merged_ids, avail_ids[kk][found])))
+            merged_list = merged_ids.tolist()
         if stuck:
             return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
                                   leftovers(), tuple(composition), tuple(attempts))
@@ -537,7 +589,8 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
         for kk in range(g):
             avail[kk].pop(chosen_idx[kk])
             avail_ids[kk].pop(chosen_idx[kk])
-        merged_blocks.append(tuple(merged_ids.tolist()))
+            avail_lists[kk].pop(chosen_idx[kk])
+        merged_blocks.append(tuple(merged_list))
     return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
                           leftovers(), tuple(composition), tuple(attempts))
 
@@ -553,6 +606,10 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     stage-1 creation order) compatible with the union built so far.  The first
     position with no compatible coalition stops everything; all unconsumed
     coalitions' agents become the remainder.
+
+    Compatibility is ``is_compatible``'s test, through the same scalar
+    function: entries read one at a time, sums in NumPy's pairwise order.
+    Overlapping partial partitions raise ``PartitionError``.
     """
     res = _greedy_cluster_detailed(game, partitions, config, ledger)
     return res.partition, res.remainder

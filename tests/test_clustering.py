@@ -17,7 +17,9 @@ from hedonic_lab.clustering import (
     run_three_stage,
     run_three_stage_detailed,
 )
-from hedonic_lab.games import HedonicGame, InvalidAgentError, PartialPartition, Partition
+from hedonic_lab.clustering import _STAGE2, _admit, _row_sum
+from hedonic_lab.games import (HedonicGame, InvalidAgentError, PartialPartition, Partition,
+                               PartitionError)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 
 D = UtilityDistribution(-1, 1)
@@ -236,6 +238,114 @@ class TestIsCompatible:
         g = game_from({}, 4)
         with pytest.raises(ValueError):
             is_compatible(g, (2, 3), (0, 1), 1, self.CFG)
+
+    def test_rejects_shared_agent(self):
+        g = game_from({}, 4, default=0.2)
+        ledger = RevelationLedger(4)
+        for cand, merged in [((0, 2), (0, 1)), ([3], {1, 3}), (iter([1, 2]), range(3))]:
+            with pytest.raises(PartitionError, match="share"):
+                is_compatible(g, cand, merged, 2, self.CFG, ledger)
+        assert len(ledger) == 0
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestRowSum:
+    """``_row_sum`` is NumPy's float64 row reduction, bit for bit.
+
+    A NumPy build that reduces in another order fails here, before any
+    export could change without notice.
+    """
+    LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 257, 300]
+
+    @staticmethod
+    def rows(kind, rng, shape):
+        if kind == "uniform":
+            return rng.uniform(-1, 1, shape)
+        if kind == "ties":  # exact ties, +0.0 and -0.0
+            return rng.choice([0.5, -0.5, 0.25, -0.25, 1.0, 3.0, 0.0, -0.0], shape)
+        if kind == "negzero":
+            return np.full(shape, -0.0)
+        signs = rng.choice([-1.0, 1.0], shape)  # magnitudes 1e-8 .. 1e8
+        return signs * rng.uniform(1, 10, shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "negzero", "magnitudes"])
+    def test_equals_numpy_row_sums(self, kind):
+        rng = np.random.default_rng(2024)
+        U = self.rows(kind, rng, (6, 320))
+        rows = np.arange(6)
+        for length in self.LENGTHS:
+            cols = np.sort(rng.choice(320, length, replace=False))
+            expected = U[rows[:, None], cols].sum(axis=1)
+            for r in rows:
+                assert bits(_row_sum(U[r, cols].tolist())) == bits(expected[r]), (kind, length)
+
+
+def admit_numpy(U, cand, merged, k, thr_cand, thr_merged, ledger):
+    """The stage-2 admission test as NumPy gathers and row sums, for cross-checking ``_admit``.
+
+    Takes sorted, disjoint id arrays; returns (ok, pair units) and queues the
+    same two ledger blocks, cut at the first violated sum.
+    """
+    vals_m = U[merged[:, None], cand].sum(axis=1)
+    viol = np.flatnonzero(vals_m < thr_cand)
+    n_eval = len(merged) if viol.size == 0 else int(viol[0]) + 1
+    units = n_eval
+    ledger._enqueue_block(merged[:n_eval], cand, _STAGE2)
+    if viol.size > 0:
+        return False, units
+    vals_c = U[cand[:, None], merged].sum(axis=1)
+    viol2 = np.flatnonzero(vals_c < thr_merged)
+    n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
+    units += n_eval2 * (k - 1)
+    ledger._enqueue_block(cand[:n_eval2], merged, _STAGE2)
+    return viol2.size == 0, units
+
+
+class TestAdmitAgainstNumpy:
+    """The scalar ``_admit`` against ``admit_numpy`` on random disjoint sets.
+
+    Merged sets reach 200 agents, so the second test's sums take NumPy's split
+    above 128 terms.  Thresholds are random, or set to a computed row sum or
+    the next float above it, so that a sum equal to its threshold passes and
+    a sum one ulp off NumPy's lands on the other side.
+    """
+    N = 260
+
+    def thresholds(self, rng, sums_m, sums_c):
+        mode = rng.integers(5)
+        if mode == 0:
+            return rng.uniform(-3, 1), rng.uniform(-6, 1)
+        if mode == 1:  # both tests pass, with equality at the smallest sums
+            return sums_m.min(), sums_c.min()
+        if mode == 2:  # the first test passes exactly; the second stops at a chosen sum
+            return sums_m.min(), np.nextafter(rng.choice(sums_c), np.inf)
+        if mode == 3:  # the first test stops at a chosen sum or passes with equality
+            return rng.choice(sums_m), sums_c.min()
+        return np.nextafter(sums_m.min(), np.inf), sums_c.min()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_verdict_units_and_ledger(self, seed):
+        rng = np.random.default_rng(seed)
+        U = sample_game(self.N, D, SeedSpec(3100 + seed)).utilities
+        entry = memoryview(U)
+        for _ in range(60):
+            m = int(rng.integers(1, 201))
+            c = int(rng.integers(1, 21))
+            ids = rng.permutation(self.N)
+            merged, cand = np.sort(ids[:m]), np.sort(ids[m:m + c])
+            sums_m = U[merged[:, None], cand].sum(axis=1)
+            sums_c = U[cand[:, None], merged].sum(axis=1)
+            thr_cand, thr_merged = self.thresholds(rng, sums_m, sums_c)
+            k = int(rng.integers(2, 21))
+            got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
+            got = _admit(entry, cand.tolist(), merged.tolist(), k, float(thr_cand),
+                         float(thr_merged), got_ledger, cand, merged)
+            want = admit_numpy(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
+            assert got == want, (m, c, thr_cand, thr_merged)
+            assert got_ledger == want_ledger
 
 
 class TestGreedyCluster:

@@ -106,13 +106,24 @@ class TestEmpiricalLaw:
         assert abs(r) < 0.005
 
 
-def test_out_buffer_matches_fresh_allocation():
-    import numpy as np
-    buf = np.empty((30, 30))
-    a = sample_game(30, D, SeedSpec(64))
-    b = sample_game(30, D, SeedSpec(64), out=buf)
-    assert np.array_equal(a.utilities, b.utilities)
-    assert b.utilities is buf
+@pytest.mark.parametrize("lo,hi", [(-1, 1), (-0.3, 2.5), (0.1, 0.7), (-5, -1)])
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_draws_equal_fresh_buffered_and_generator_uniform(n, lo, hi):
+    """A game is the generator's ``uniform(lo, hi, (n, n))`` with a zeroed diagonal, bit for bit.
+
+    This holds for a fresh allocation and for a reused ``out`` buffer alike,
+    so any rework of the sampling around the draws must keep it.
+    """
+    dist = UtilityDistribution(lo, hi)
+    buf = np.full((n, n), np.nan)
+    for seed in (SeedSpec(64), SeedSpec(7, 3), SeedSpec(2**40 + 5, 11)):
+        expected = seed.rng().uniform(lo, hi, (n, n))
+        np.fill_diagonal(expected, 0.0)
+        fresh = sample_game(n, dist, seed).utilities
+        reused = sample_game(n, dist, seed, out=buf).utilities
+        assert reused is buf
+        assert fresh.tobytes() == expected.tobytes()
+        assert reused.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("buf", [
