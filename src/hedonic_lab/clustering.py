@@ -11,7 +11,8 @@ All scanning orders are fixed (ascending agent id, clique creation order), so
 identical inputs give identical outputs, ledgers included.  Stages 1 and 2
 read single entries through a memoryview of the utility table; stage 2 adds
 its sums in NumPy's pairwise order, so each equals the NumPy row sum of the
-same entries bit for bit.
+same entries bit for bit.  Each stage writes what it examined to the ledger
+once, at its end, from the trace it keeps anyway.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Callable, Iterable
 
@@ -160,16 +162,18 @@ _ENCODE = {entry: code for code, entry in enumerate(_DECODE) if entry is not Non
 _STAGE_CODES = {1: (_BELOW, _AT_LEAST), 2: (_STAGE2,), 3: (_STAGE3,)}
 
 
-def _cross_keys(sources: list[np.ndarray], targets: list[np.ndarray], n: int) -> np.ndarray:
+def _cross_keys(sources: list[list[int]], targets: list[list[int]], n: int) -> np.ndarray:
     """Flat keys ``src * n + dst`` of the union of the blocks sources[i] x targets[i]."""
     n_src = np.fromiter(map(len, sources), dtype=np.intp, count=len(sources))
     n_tgt = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
     row_len = np.repeat(n_tgt, n_src)  # one row of keys per source id
     row_start = np.cumsum(row_len) - row_len
     first_tgt = np.repeat(np.cumsum(n_tgt) - n_tgt, n_src)
-    src_part = np.repeat(np.concatenate(sources) * n, row_len)
+    src_ids = np.fromiter(chain.from_iterable(sources), dtype=np.intp, count=int(n_src.sum()))
+    tgt_ids = np.fromiter(chain.from_iterable(targets), dtype=np.intp, count=int(n_tgt.sum()))
+    src_part = np.repeat(src_ids * n, row_len)
     tgt_pos = np.arange(src_part.size) + np.repeat(first_tgt - row_start, row_len)
-    return src_part + np.concatenate(targets)[tgt_pos]
+    return src_part + tgt_ids[tgt_pos]
 
 
 class RevelationLedger:
@@ -181,23 +185,17 @@ class RevelationLedger:
 
     The ledger is one n x n ``int8`` code matrix: 0 unseen, 1 and 2 a stage-1
     observation below / at least the threshold, 3 a stage-2 and 4 a stage-3
-    raw observation.  Stage-1 and stage-2 writes are queued, as flat keys
-    ``src * n + dst`` or as cross products of agent ids, in runs of one code;
-    before anything reads the matrix the runs are applied in queue order, each
-    as one fancy-indexed ``where(cur == 0, code, cur)``, so the first writer
-    still wins.  Stage 3 flushes the queue when it starts and then writes its
-    codes straight into the matrix, only into pairs still at 0.
-    ``entries()`` yields in row-major key order, and ``==`` compares the
-    effective codes.
+    raw observation.  Each stage writes its observations once, at its end,
+    from the trace it keeps, and only into pairs still at 0, so the first
+    writer wins.  ``entries()`` yields in row-major key order, and ``==``
+    compares the codes.
     """
 
-    __slots__ = ("n", "_codes", "_queue")
+    __slots__ = ("n", "_codes")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._codes = np.zeros((n, n), dtype=np.int8)
-        # Runs of (code, flat-key arrays, cross-product sources, targets).
-        self._queue: list[tuple[int, list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = []
 
     def _agents(self, agents: Iterable[int]) -> np.ndarray:
         """Agent ids as an index array, each checked to lie in 0..n-1."""
@@ -211,33 +209,11 @@ class RevelationLedger:
             raise InvalidAgentError(f"agent id {bad} outside 0..{self.n - 1}")
         return arr
 
-    def _run(self, code: int):
-        queue = self._queue
-        if not queue or queue[-1][0] != code:
-            queue.append((code, [], [], []))
-        return queue[-1]
-
-    def _enqueue(self, keys: np.ndarray, code: int) -> None:
-        """Queue flat keys of valid agent pairs."""
-        self._run(code)[1].append(keys)
-
-    def _enqueue_block(self, src: np.ndarray, tgt: np.ndarray, code: int) -> None:
-        """Queue the cross product src x tgt of valid agent ids."""
-        _code, _keys, sources, targets = self._run(code)
-        sources.append(src)
-        targets.append(tgt)
-
-    def _flush(self) -> np.ndarray:
-        """Apply every queued run in order; first writer wins per pair."""
+    def _write(self, keys: np.ndarray, code: int) -> None:
+        """Write ``code`` at each flat key ``src * n + dst`` (of valid ids) still at 0."""
         flat = self._codes.reshape(-1)
-        for code, keys, sources, targets in self._queue:
-            if sources:
-                keys.append(_cross_keys(sources, targets, self.n))
-            k = keys[0] if len(keys) == 1 else np.concatenate(keys)
-            cur = flat[k]
-            flat[k] = np.where(cur == 0, code, cur)
-        self._queue.clear()
-        return self._codes
+        cur = flat[keys]
+        flat[keys] = np.where(cur == 0, code, cur)
 
     def record(self, stage: int, src: int, dst: int, value_class: ValueClass) -> bool:
         """Record one examined entry; returns False if the pair was already revealed.
@@ -248,7 +224,7 @@ class RevelationLedger:
         if code is None:
             raise ValueError(f"stage {stage} cannot record a {value_class} observation")
         self._agents((src, dst))
-        codes = self._flush()
+        codes = self._codes
         if codes[src, dst]:
             return False
         codes[src, dst] = code
@@ -258,32 +234,32 @@ class RevelationLedger:
         """Bulk-record the raw cross product sources x targets for stage 2 or 3."""
         if stage not in (2, 3):
             raise ValueError("record_block is for raw stage-2/3 observations")
-        self._enqueue_block(self._agents(sources), self._agents(targets),
-                            _ENCODE[stage, ValueClass.RAW])
+        keys = self._agents(sources)[:, None] * self.n + self._agents(targets)
+        self._write(keys.reshape(-1), _ENCODE[stage, ValueClass.RAW])
 
     def lookup(self, src: int, dst: int) -> tuple[int, ValueClass] | None:
         self._agents((src, dst))
-        return _DECODE[self._flush()[src, dst]]
+        return _DECODE[self._codes[src, dst]]
 
     def stage2_between(self, agent: int, members: Iterable[int]) -> bool:
         """Whether any stage-2 entry links ``agent`` with one of ``members`` (either direction)."""
         self._agents((agent,))
         m = self._agents(members)
-        codes = self._flush()
+        codes = self._codes
         return bool(((codes[agent, m] == _STAGE2) | (codes[m, agent] == _STAGE2)).any())
 
     def merge(self, other: "RevelationLedger") -> None:
         """Add ``other``'s entries for pairs this ledger has not revealed."""
         if other.n != self.n:
             raise ValueError(f"cannot merge a ledger over {other.n} agents into one over {self.n}")
-        theirs = other._flush().reshape(-1)
+        theirs = other._codes.reshape(-1)
         keys = np.flatnonzero(theirs != 0)  # nonzero is several times slower on int8 than on bool
-        flat = self._flush().reshape(-1)
+        flat = self._codes.reshape(-1)
         cur = flat[keys]
         flat[keys] = np.where(cur == 0, theirs[keys], cur)
 
     def entries(self, stages: Iterable[int] | None = None):
-        flat = self._flush().reshape(-1)
+        flat = self._codes.reshape(-1)
         wanted = (1, 2, 3) if stages is None else set(stages)
         mask = None
         for stage in wanted:
@@ -299,17 +275,17 @@ class RevelationLedger:
             yield stage, src, dst, cls
 
     def count_by_stage(self) -> dict[int, int]:
-        codes = self._flush()
+        codes = self._codes
         return {stage: sum(int(np.count_nonzero(codes == c)) for c in cs)
                 for stage, cs in _STAGE_CODES.items()}
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._flush()))
+        return int(np.count_nonzero(self._codes))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RevelationLedger):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._flush(), other._flush())
+        return self.n == other.n and np.array_equal(self._codes, other._codes)
 
 
 def _check_ledger(game: HedonicGame, ledger: RevelationLedger | None) -> None:
@@ -319,7 +295,7 @@ def _check_ledger(game: HedonicGame, ledger: RevelationLedger | None) -> None:
 
 def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
                    steps: list[tuple[tuple[int, ...], list[int]]]) -> None:
-    """Queue the stage-1 checks of every (members, scanned candidates) growth step.
+    """Write the stage-1 checks of every (members, scanned candidates) growth step.
 
     Each candidate w is checked member by member, u_w(z) then u_z(w), up to
     and including the first value below ``tau``.  No ordered pair occurs
@@ -343,8 +319,8 @@ def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
         seen = np.arange(2 * m) <= first_below[:, None]
         keys = src[seen] * n + dst[seen]
         at_least = ok[seen]
-        ledger._enqueue(keys[~at_least], _BELOW)
-        ledger._enqueue(keys[at_least], _AT_LEAST)
+        ledger._write(keys[~at_least], _BELOW)
+        ledger._write(keys[at_least], _AT_LEAST)
 
 
 def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
@@ -409,15 +385,14 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
 
 def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[int],
                   k: int, config: AlgoConfig,
-                  ledger: RevelationLedger | None = None,
-                  pair_units_out: list | None = None) -> bool:
+                  ledger: RevelationLedger | None = None) -> bool:
     """Stage-2 admission test for merging ``candidate`` into ``merged`` at round ``k``.
 
     Every agent already merged must not lose more than c*s against the
     candidate, and every candidate agent must not lose more than (k-1)*c*s
     against the merged union.  Sums are evaluated in ascending agent order and
     evaluation stops at the first violation; each evaluated sum's constituent
-    pairs are appended to the ledger as stage-2 raw observations.
+    pairs are written to the ledger as stage-2 raw observations.
 
     Entries are read one at a time through a memoryview of the table, and each
     sum is added in NumPy's pairwise order (see ``_row_sum``), so a sum equals
@@ -427,21 +402,21 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     if k < 2:
         raise ValueError("merge rounds start at k=2")
     _check_ledger(game, ledger)
-    cand_ids = np.array(sorted(set(candidate)), dtype=np.intp)
-    merged_ids = np.array(sorted(set(merged)), dtype=np.intp)
+    cand = np.array(sorted(set(candidate)), dtype=np.intp).tolist()
+    merged_list = np.array(sorted(set(merged)), dtype=np.intp).tolist()
     n = game.n
-    for ids in (cand_ids, merged_ids):
-        if ids.size and (ids[0] < 0 or ids[-1] >= n):
+    for ids in (cand, merged_list):
+        if ids and (ids[0] < 0 or ids[-1] >= n):
             raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
-    cand, merged_list = cand_ids.tolist(), merged_ids.tolist()
     shared = set(cand).intersection(merged_list)
     if shared:
         raise PartitionError(f"candidate and merged share agents {sorted(shared)[:5]}")
     thr_cand, thr_merged = _compat_thresholds(config, config.clique_size(n), k)
-    ok, units = _admit(memoryview(game.utilities), cand, merged_list, k, thr_cand, thr_merged,
-                       ledger, cand_ids, merged_ids)
-    if pair_units_out is not None:
-        pair_units_out.append(units)
+    ok, _units, n_eval, n_eval2 = _admit(memoryview(game.utilities), cand, merged_list, k,
+                                         thr_cand, thr_merged)
+    if ledger is not None:
+        ledger._write(_cross_keys([merged_list[:n_eval], cand[:n_eval2]], [cand, merged_list], n),
+                      _STAGE2)
     return ok
 
 
@@ -474,13 +449,11 @@ def _row_sum(vals: list[float]) -> float:
 
 
 def _admit(entry: memoryview, cand: list[int], merged: list[int], k: int,
-           thr_cand: float, thr_merged: float, ledger: RevelationLedger | None,
-           cand_ids: np.ndarray, merged_ids: np.ndarray) -> tuple[bool, int]:
-    """``is_compatible`` on sorted, disjoint, valid ids; returns (ok, pair units).
+           thr_cand: float, thr_merged: float) -> tuple[bool, int, int, int]:
+    """``is_compatible`` on sorted, disjoint, valid ids, through a memoryview ``entry``.
 
-    ``entry`` is a memoryview of the utility table; ``cand_ids`` and
-    ``merged_ids`` hold ``cand`` and ``merged`` as index arrays, which the
-    ledger's block writes take.
+    Returns (ok, pair units, n_eval, n_eval2): the sums evaluated reveal
+    ``merged[:n_eval] x cand`` and ``cand[:n_eval2] x merged``.
     """
     n_eval = 0
     ok = True
@@ -489,21 +462,14 @@ def _admit(entry: memoryview, cand: list[int], merged: list[int], k: int,
         if _row_sum([entry[a, b] for b in cand]) < thr_cand:
             ok = False
             break
-    units = n_eval
-    if ledger is not None:
-        ledger._enqueue_block(merged_ids[:n_eval], cand_ids, _STAGE2)
-    if not ok:
-        return False, units
     n_eval2 = 0
-    for b in cand:
-        n_eval2 += 1
-        if _row_sum([entry[b, a] for a in merged]) < thr_merged:
-            ok = False
-            break
-    units += n_eval2 * (k - 1)
-    if ledger is not None:
-        ledger._enqueue_block(cand_ids[:n_eval2], merged_ids, _STAGE2)
-    return ok, units
+    if ok:
+        for b in cand:
+            n_eval2 += 1
+            if _row_sum([entry[b, a] for a in merged]) < thr_merged:
+                ok = False
+                break
+    return ok, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
 
 
 @dataclass(frozen=True)
@@ -547,52 +513,51 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
 
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
-    # Each block's ids as a sorted array and as a sorted list, kept parallel to
-    # ``avail``: the sums read the lists, the ledger's block writes take the arrays.
-    avail_ids = [[np.array(sorted(b), dtype=np.intp) for b in group] for group in avail]
-    avail_lists = [[ids.tolist() for ids in group] for group in avail_ids]
+    # Each block's ids as a sorted list of ints, kept parallel to ``avail``.
+    avail_lists = [[sorted(map(int, b)) for b in group] for group in avail]
+    # The blocks sources[i] x targets[i] every attempt revealed, written at the end.
+    sources: list[list[int]] = []
+    targets: list[list[int]] = []
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
     attempts: list[AttemptRecord] = []
 
-    def leftovers() -> set[int]:
-        out: set[int] = set()
+    def finish() -> _ClusterResult:
+        if ledger is not None:
+            ledger._write(_cross_keys(sources, targets, n), _STAGE2)
+        leftovers: set[int] = set()
         for group in avail:
             for block in group:
-                out.update(block)
-        return out
+                leftovers.update(block)
+        return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
+                              leftovers, tuple(composition), tuple(attempts))
 
     while avail[0]:
         chosen_idx: list[int] = [0] * g
-        merged_ids, merged_list = avail_ids[0][0], avail_lists[0][0]
-        stuck = False
+        merged_list = avail_lists[0][0]
         for kk in range(1, g):
             thr_cand, thr_merged = thresholds[kk]
             found = None
-            for idx, (cand, cand_ids) in enumerate(zip(avail_lists[kk], avail_ids[kk])):
-                ok, units = _admit(entry, cand, merged_list, kk + 1, thr_cand, thr_merged,
-                                   ledger, cand_ids, merged_ids)
+            for idx, cand in enumerate(avail_lists[kk]):
+                ok, units, n_eval, n_eval2 = _admit(entry, cand, merged_list, kk + 1,
+                                                    thr_cand, thr_merged)
+                if ledger is not None:
+                    sources += (merged_list[:n_eval], cand[:n_eval2])
+                    targets += (cand, merged_list)
                 attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx, ok, units))
                 if ok:
                     found = idx
                     break
             if found is None:
-                stuck = True
-                break
+                return finish()
             chosen_idx[kk] = found
-            merged_ids = np.sort(np.concatenate((merged_ids, avail_ids[kk][found])))
-            merged_list = merged_ids.tolist()
-        if stuck:
-            return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
-                                  leftovers(), tuple(composition), tuple(attempts))
+            merged_list = sorted(merged_list + avail_lists[kk][found])
         composition.append(tuple(avail[kk][chosen_idx[kk]] for kk in range(g)))
         for kk in range(g):
             avail[kk].pop(chosen_idx[kk])
-            avail_ids[kk].pop(chosen_idx[kk])
             avail_lists[kk].pop(chosen_idx[kk])
         merged_blocks.append(tuple(merged_list))
-    return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
-                          leftovers(), tuple(composition), tuple(attempts))
+    return finish()
 
 
 def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
@@ -627,9 +592,9 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     filters, the agent still gets the best unused coalition and the success
     flag drops; when coalitions run out entirely, leftovers become singletons.
 
-    With a ledger, writes still queued by earlier stages are applied first;
-    the stage-3 observations then go straight into the flushed code matrix,
-    each into a pair that no earlier stage revealed.
+    With a ledger, the stage-2 links are read from its code matrix, and the
+    stage-3 observations are written into it at the end, each into a pair
+    that no earlier stage revealed.
     """
     rem = sorted(set(remainder))
     for a in rem:
@@ -786,10 +751,10 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     alive = np.ones(nb, dtype=bool)
     open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition
     if ledger is not None:
-        # The queue is empty from here on: stage 3 writes its codes straight
-        # into the matrix, through ``rem_codes``, after the loop.  It writes
-        # only stage-3 codes, so the links read here hold throughout the loop.
-        codes = ledger._flush()
+        # Stage 3 writes its codes into the matrix, through ``rem_codes``,
+        # after the loop.  It writes only stage-3 codes, so the links read
+        # here hold throughout the loop.
+        codes = ledger._codes
         rem_codes = codes[rem_arr][:, order]  # codes[a, m]: remainder agent a, merged member m
         links = ((rem_codes == _STAGE2)
                  | (codes.take(rem_arr, axis=1).take(order, axis=0).T == _STAGE2))

@@ -17,7 +17,7 @@ from hedonic_lab.clustering import (
     run_three_stage,
     run_three_stage_detailed,
 )
-from hedonic_lab.clustering import _STAGE2, _admit, _row_sum
+from hedonic_lab.clustering import _admit, _compat_thresholds, _row_sum
 from hedonic_lab.games import (HedonicGame, InvalidAgentError, PartialPartition, Partition,
                                PartitionError)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
@@ -229,10 +229,12 @@ class TestIsCompatible:
     def test_pair_units_full_attempt(self):
         g = game_from({}, 8, default=0.1)
         cfg = AlgoConfig(num_groups=4, clique_size_rule=lambda n: 2)
-        units: list[int] = []
-        assert is_compatible(g, (6, 7), (0, 1, 2, 3, 4, 5), 4, cfg, None, units)
+        assert is_compatible(g, (6, 7), (0, 1, 2, 3, 4, 5), 4, cfg)
+        thr_cand, thr_merged = _compat_thresholds(cfg, 2, 4)
+        ok, units, _n_eval, _n_eval2 = _admit(memoryview(g.utilities), [6, 7],
+                                              [0, 1, 2, 3, 4, 5], 4, thr_cand, thr_merged)
         # |M| + |C|*(k-1) = 6 + 2*3 = 12 = 2(k-1)s
-        assert units == [12]
+        assert ok and units == 12
 
     def test_rejects_round_one(self):
         g = game_from({}, 4)
@@ -286,21 +288,21 @@ class TestRowSum:
 def admit_numpy(U, cand, merged, k, thr_cand, thr_merged, ledger):
     """The stage-2 admission test as NumPy gathers and row sums, for cross-checking ``_admit``.
 
-    Takes sorted, disjoint id arrays; returns (ok, pair units) and queues the
-    same two ledger blocks, cut at the first violated sum.
+    Takes sorted, disjoint id arrays; returns (ok, pair units) and records the
+    two stage-2 blocks its sums revealed, cut at the first violated sum.
     """
     vals_m = U[merged[:, None], cand].sum(axis=1)
     viol = np.flatnonzero(vals_m < thr_cand)
     n_eval = len(merged) if viol.size == 0 else int(viol[0]) + 1
     units = n_eval
-    ledger._enqueue_block(merged[:n_eval], cand, _STAGE2)
+    ledger.record_block(2, merged[:n_eval], cand)
     if viol.size > 0:
         return False, units
     vals_c = U[cand[:, None], merged].sum(axis=1)
     viol2 = np.flatnonzero(vals_c < thr_merged)
     n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
     units += n_eval2 * (k - 1)
-    ledger._enqueue_block(cand[:n_eval2], merged, _STAGE2)
+    ledger.record_block(2, cand[:n_eval2], merged)
     return viol2.size == 0, units
 
 
@@ -313,6 +315,12 @@ class TestAdmitAgainstNumpy:
     a sum one ulp off NumPy's lands on the other side.
     """
     N = 260
+
+    def random_sets(self, rng):
+        m = int(rng.integers(1, 201))
+        c = int(rng.integers(1, 21))
+        ids = rng.permutation(self.N)
+        return np.sort(ids[:m]), np.sort(ids[m:m + c])
 
     def thresholds(self, rng, sums_m, sums_c):
         mode = rng.integers(5)
@@ -332,20 +340,39 @@ class TestAdmitAgainstNumpy:
         U = sample_game(self.N, D, SeedSpec(3100 + seed)).utilities
         entry = memoryview(U)
         for _ in range(60):
-            m = int(rng.integers(1, 201))
-            c = int(rng.integers(1, 21))
-            ids = rng.permutation(self.N)
-            merged, cand = np.sort(ids[:m]), np.sort(ids[m:m + c])
+            merged, cand = self.random_sets(rng)
             sums_m = U[merged[:, None], cand].sum(axis=1)
             sums_c = U[cand[:, None], merged].sum(axis=1)
             thr_cand, thr_merged = self.thresholds(rng, sums_m, sums_c)
             k = int(rng.integers(2, 21))
             got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
-            got = _admit(entry, cand.tolist(), merged.tolist(), k, float(thr_cand),
-                         float(thr_merged), got_ledger, cand, merged)
+            ok, units, n_eval, n_eval2 = _admit(entry, cand.tolist(), merged.tolist(), k,
+                                                float(thr_cand), float(thr_merged))
+            got_ledger.record_block(2, merged[:n_eval], cand)
+            got_ledger.record_block(2, cand[:n_eval2], merged)
             want = admit_numpy(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
-            assert got == want, (m, c, thr_cand, thr_merged)
+            assert (ok, units) == want, (len(merged), len(cand), thr_cand, thr_merged)
             assert got_ledger == want_ledger
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_is_compatible_writes_the_same_ledger(self, seed):
+        # Even seeds pass the first test with equality at its smallest sum, so
+        # the second runs; odd seeds stop the first test at its median sum.
+        rng = np.random.default_rng(seed)
+        game = sample_game(self.N, D, SeedSpec(3200 + seed))
+        merged, cand = self.random_sets(rng)
+        sums_m = game.utilities[merged[:, None], cand].sum(axis=1)
+        edge = sums_m.min() if seed % 2 == 0 else np.median(sums_m)
+        config = AlgoConfig(num_groups=2, compat_constant=max(-float(edge), 1e-3),
+                            clique_size_rule=lambda n: 1)
+        k = int(rng.integers(2, 6))
+        thr_cand, thr_merged = _compat_thresholds(config, 1, k)
+        got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
+        got = is_compatible(game, cand, merged, k, config, got_ledger)
+        want, _units = admit_numpy(game.utilities, cand, merged, k, thr_cand, thr_merged,
+                                   want_ledger)
+        assert got == want
+        assert got_ledger == want_ledger
 
 
 class TestGreedyCluster:
@@ -431,9 +458,9 @@ class TestCompletePartition:
         assert partition.coalitions == ((0, 1, 4), (2, 3))
 
     def test_queued_stage2_writes_keep_their_codes(self):
-        # Agent 4 is linked to both coalitions by stage-2 writes still in the
-        # queue, so it falls back and examines every member; stage 3 must not
-        # overwrite the queued stage-2 codes or the flushed stage-1 one.
+        # Agent 4 is linked to both coalitions by stage-2 writes, so it falls
+        # back and examines every member; stage 3 must not overwrite the
+        # stage-2 codes or the stage-1 one.
         g = game_from({(4, 0): -0.2, (4, 1): -0.2, (4, 2): -0.8, (4, 3): -0.8}, 5)
         merged = PartialPartition(5, [(0, 1), (2, 3)])
         ledger = RevelationLedger(5)
