@@ -150,10 +150,12 @@ def _read_config_file(path) -> dict[str, str]:
 def _cmd_mc(args) -> int:
     # Explicit flags win; file values fill the gaps; then hard defaults.
     if args.config:
-        file_vals = _read_config_file(args.config)
-        for key, val in file_vals.items():
+        settable = set(vars(args)) - {"fn", "command", "config"}
+        for key, val in _read_config_file(args.config).items():
             attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None and hasattr(args, attr):
+            if attr not in settable:
+                raise ValueError(f"unknown key {key!r} in config file {args.config}")
+            if getattr(args, attr) is None:
                 setattr(args, attr, val)
     if args.n is None:
         raise ValueError("mc needs --n (or n= in the config file)")

@@ -4,8 +4,10 @@ Trials are embarrassingly parallel: each draws its own generator from a seed
 derived statelessly from the campaign master, and aggregation is by counting,
 so results are identical at any worker count.  Heavy inner loops (grand
 coalition flags, fixed-shape stability, exhaustive existence) are vectorized
-over trial batches.  Exhaustive existence, for every concept, is one pass of
-``existence_by_k`` over all set partitions per n; ``check`` is not called.
+over trial batches; each forms its block sums in its own layout and reduces
+the per-agent verdicts of ``stability.agent_verdicts``.  Exhaustive existence,
+for every concept, is one pass of ``existence_by_k`` over all set partitions
+per n; ``check`` is not called.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .clustering import AlgoConfig, run_three_stage
 # exists_stable is unused but kept: perfbench/tracing.py wraps it here by name, with three more.
 from .oracle import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError, exists_stable, rgs_strings
 from .sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
-from .stability import Concept, concept_profile
+from .stability import Concept, agent_verdicts, concept_profile
 
 __all__ = [
     "WILSON_Z",
@@ -241,17 +243,6 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # ------------------------------------------------------- ORACLE_EXISTENCE ----
 
-def _stays(best: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Per agent, the Nash stay test from block sums.
-
-    ``best`` is each agent's largest sum over the blocks it may move to, its
-    own included, so ``best <= own`` says no other block is better; ``own >= 0``
-    says it would not rather be alone.  With a zero diagonal a singleton's own
-    sum is 0, so the second test holds for it by itself.
-    """
-    return (best <= own) & (own >= 0)
-
-
 # Restricted growth strings read from ``rgs_strings`` per table slice (int8,
 # _RGS_ROWS × n bytes), and float64 elements per block-sum chunk (partitions ×
 # blocks × games × agents).  A chunk holds at least one partition, so it holds
@@ -260,14 +251,11 @@ def _stays(best: np.ndarray, own: np.ndarray) -> np.ndarray:
 _RGS_ROWS = 1 << 14
 _CHUNK = 1 << 15
 
-# Concepts read from block sums, from ``F`` (some member of a block has a
-# negative utility for the agent) and from ``G`` (some member, a positive one).
-_NEEDS_SUMS = frozenset({Concept.NASH, Concept.INDIVIDUAL, Concept.CONTRACTUAL_NASH,
-                         Concept.CONTRACTUAL_INDIVIDUAL, Concept.INDIVIDUALLY_RATIONAL})
+# Concepts read from ``F`` (some member of a block has a negative utility for
+# the agent) and from ``G`` (some member, a positive one).
 _NEEDS_F = frozenset({Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL, Concept.ENTER_DENIED})
 _NEEDS_G = frozenset({Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL,
                       Concept.EXIT_DENIED})
-_INDIVIDUAL_FORMS = frozenset({Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL})
 
 
 def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
@@ -279,19 +267,15 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     Partitions are read from ``rgs_strings`` in table slices and tested many
     per NumPy call, grouped by block count.  Each block sum starts at 0.0 and
     adds its members in ascending order, the order ``check`` sums in, and
-    every concept is a reduction of those sums and two favour masks, scattered
-    by block exactly as the sums are:
+    every concept is a reduction of ``agent_verdicts`` over those sums and two
+    favour masks, scattered by block exactly as the sums are:
 
-    - ``F[p * k + j, t * n + a]``: some member b of block j has u_b(a) < 0;
+    - ``F[p * k + j, t * n + a]``: some member b of block j has u_b(a) < 0,
+      and set at the own block when enter-denied is requested;
     - ``G``: the same with u_b(a) > 0 (``own_fin`` is ``G`` at the own block).
 
-    Nash stays when no block sum beats its own and its own is >= 0; individual
-    stability is the same after the sums of blocks with ``F`` set are dropped;
-    the contractual forms also hold where ``own_fin`` does; individual
-    rationality is own >= 0; enter-denied needs ``F`` on every other block and
-    exit-denied needs ``own_fin``.  ``F`` and ``G`` are built only when a
-    requested concept reads them.  A batch that is not square or has a nonzero
-    diagonal raises ``ValueError``.
+    ``F`` and ``G`` are built only when a requested concept reads them.  A
+    batch that is not square or has a nonzero diagonal raises ``ValueError``.
     """
     T, n, n2 = games.shape
     if n != n2:
@@ -302,10 +286,10 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     for c in exists:
         if not isinstance(c, Concept):
             raise ValueError(f"unhandled concept {c!r}")
-    if T == 0:
+    if T == 0 or not exists:
         return exists
     wanted = set(exists)
-    sums, need_f, need_g = wanted & _NEEDS_SUMS, wanted & _NEEDS_F, wanted & _NEEDS_G
+    need_f, need_g = wanted & _NEEDS_F, wanted & _NEEDS_G
     # cols[b] holds u_a(b) for every (game, agent) pair, agent fastest; the
     # favour rows hold u_b(a) in the same layout.
     cols = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, T * n)
@@ -328,36 +312,25 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
                 # Row p * k + j of each table is block j of partition p.
                 block_row = np.arange(P)[:, None] * k + lab
                 own_at = (block_row[:, None, :], flat_agent)
-                ok: dict[Concept, np.ndarray] = {}
-                if sums:
-                    # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
-                    S = np.zeros((P * k, T * n))
-                    for b in range(n):
-                        S[block_row[:, b]] += cols[b]
-                    own = S[own_at]
-                    ok[Concept.NASH] = _stays(S.reshape(P, k, T, n).max(axis=1), own)
-                    if Concept.INDIVIDUALLY_RATIONAL in wanted:
-                        ok[Concept.INDIVIDUALLY_RATIONAL] = own >= 0
+                # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
+                S = np.zeros((P * k, T * n))
+                for b in range(n):
+                    S[block_row[:, b]] += cols[b]
+                F = own_fin = None
                 if need_f:
                     F = np.zeros((P * k, T * n), dtype=bool)
                     for b in range(n):
                         F[block_row[:, b]] |= dislikes[b]
-                    if wanted & _INDIVIDUAL_FORMS:
-                        S[F] = -np.inf
-                        ok[Concept.INDIVIDUAL] = _stays(S.reshape(P, k, T, n).max(axis=1), own)
-                    if Concept.ENTER_DENIED in wanted:
+                    if Concept.ENTER_DENIED in wanted:  # the only reader of the own flag
                         F[own_at] = True
-                        ok[Concept.ENTER_DENIED] = F.reshape(P, k, T, n).all(axis=1)
+                    F = F.reshape(P, k, T, n)
                 if need_g:
                     G = np.zeros((P * k, T * n), dtype=bool)
                     for b in range(n):
                         G[block_row[:, b]] |= likes[b]
                     own_fin = G[own_at]
-                    ok[Concept.EXIT_DENIED] = own_fin
-                    if Concept.CONTRACTUAL_NASH in wanted:
-                        ok[Concept.CONTRACTUAL_NASH] = own_fin | ok[Concept.NASH]
-                    if Concept.CONTRACTUAL_INDIVIDUAL in wanted:
-                        ok[Concept.CONTRACTUAL_INDIVIDUAL] = own_fin | ok[Concept.INDIVIDUAL]
+                ok = agent_verdicts(S.reshape(P, k, T, n), S[own_at], F, own_fin,
+                                    concepts=exists)
                 for c, ex in exists.items():
                     ex[:, k] |= ok[c].all(axis=-1).any(axis=0)
 
@@ -436,16 +409,23 @@ def run_oracle_existence(campaign: Campaign, *, keep_summaries: bool = True) -> 
 # --------------------------------------------------------------- MC_GRAND ----
 
 def grand_coalition_flags(batch: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized stability flags of the grand (and all-singleton) partition."""
+    """Vectorized stability flags of the grand (and all-singleton) partition.
+
+    The grand coalition is one block whose sum is each agent's row sum; in the
+    singleton partition each agent's block sums are its utilities and its own is 0.
+    """
     row_sums = batch.sum(axis=2)
     has_fan = (batch > 0).any(axis=1)  # some b with u_b(a) > 0, per agent a
-    ir = (row_sums >= 0).all(axis=1)
+    grand = agent_verdicts(row_sums[:, None, :], row_sums, own_fin=has_fan,
+                           concepts=(Concept.EXIT_DENIED, Concept.CONTRACTUAL_NASH,
+                                     Concept.INDIVIDUALLY_RATIONAL, Concept.NASH))
+    singletons = agent_verdicts(batch.transpose(0, 2, 1), 0.0, concepts=(Concept.NASH,))
     return {
-        "grand-exit-denied": has_fan.all(axis=1),
-        "grand-cns": ~((row_sums < 0) & ~has_fan).any(axis=1),
-        "grand-ir": ir,
-        "grand-ns": ir,  # only deviation from the grand coalition is breaking away
-        "singleton-ns": (batch <= 0).all(axis=(1, 2)),
+        "grand-exit-denied": grand[Concept.EXIT_DENIED].all(axis=1),
+        "grand-cns": grand[Concept.CONTRACTUAL_NASH].all(axis=1),
+        "grand-ir": grand[Concept.INDIVIDUALLY_RATIONAL].all(axis=1),
+        "grand-ns": grand[Concept.NASH].all(axis=1),
+        "singleton-ns": singletons[Concept.NASH].all(axis=1),
     }
 
 
@@ -521,7 +501,8 @@ def fixed_shape_ns_successes(n: int, k: int, trials: int, dist: UtilityDistribut
         batch = dist.sample(rng, (b, n, n))
         batch[:, ar, ar] = 0.0
         S = (batch.reshape(b * n, n) @ M).reshape(b, n, k)
-        successes += int(_stays(S.max(axis=2), S[:, ar, lab]).all(axis=-1).sum())
+        nash = agent_verdicts(S.transpose(0, 2, 1), S[:, ar, lab], concepts=(Concept.NASH,))
+        successes += int(nash[Concept.NASH].all(axis=-1).sum())
         done += b
     return successes
 

@@ -2,13 +2,13 @@
 
 Seven concepts are supported, all driven by single-agent deviations or by
 per-agent denial conditions.  ``check`` is the witness-producing reference
-implementation; ``concept_profile`` evaluates all seven at once and is the
-hot path for Monte Carlo campaigns.  It reads each agent's own block for the
-exit-denied and contractual vetoes, then takes block sums and refusal flags in
-tiles of ``_TILE_ROWS`` agent rows, and only for the rows that can still change
-a verdict.  Its extra memory is O(``_TILE_ROWS`` * n) and no n x n array is
-formed.  Each sum is one ``np.add.reduceat`` over the row's block-ordered
-entries, bit-identical to a single ``reduceat`` over the table.
+implementation.  ``agent_verdicts`` is the one fast encoding of the per-agent
+rules, from block sums and favour masks; every batched path reduces its
+verdicts.  ``concept_profile``, the hot path for Monte Carlo campaigns,
+evaluates all seven concepts for one partition from tiles of ``_TILE_ROWS``
+agent rows, read only while they can still change a verdict, in
+O(``_TILE_ROWS`` * n) extra memory; its sums are bit-identical to a single
+``np.add.reduceat`` over the table.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ __all__ = [
     "Verdict",
     "check",
     "concept_profile",
+    "agent_verdicts",
     "implied_concepts",
     "IMPLICATIONS",
 ]
@@ -177,18 +178,58 @@ def _own_favour(U: np.ndarray, labels: np.ndarray, order: np.ndarray,
     return own_fin
 
 
-def _block_rows(U: np.ndarray, rows: np.ndarray, order: np.ndarray,
-                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block sums and refusals for the agents ``rows`` (ascending ids).
+def agent_verdicts(S: np.ndarray, own, F: np.ndarray | None = None,
+                   own_fin: np.ndarray | None = None, *, concepts) -> dict[Concept, np.ndarray]:
+    """Per-agent verdicts of ``concepts``: the one fast encoding of the per-agent rules.
+
+    Blocks lie on axis 1 of ``S`` (each agent's utility sum over each block,
+    its own included) and of ``F`` (some member of the block has a negative
+    utility for the agent).  ``own`` (the sum over the agent's own block, 0 for
+    a singleton; it may be a scalar) and ``own_fin`` (some other member of the
+    own block has a positive utility for the agent) lack that axis.  Nash stays
+    when no block sum beats ``own`` and ``own >= 0``; IS when the same holds
+    once the blocks flagged in ``F`` are set to -inf, in ``S`` itself.  IR is
+    ``own >= 0``; enter-denied is ``F`` on every block, so it needs ``F`` True
+    at the own block, which IS ignores; exit-denied is ``own_fin``; CNS and CIS
+    also hold where ``own_fin`` does.  Only the requested verdicts are computed.
+    """
+    wanted = set(concepts)
+    rational = own >= 0
+    out = {Concept.INDIVIDUALLY_RATIONAL: rational}
+
+    def stays():
+        return (S.max(axis=1) <= own) & rational
+
+    if wanted & {Concept.NASH, Concept.CONTRACTUAL_NASH}:
+        out[Concept.NASH] = stays()
+    if Concept.ENTER_DENIED in wanted:
+        out[Concept.ENTER_DENIED] = F.all(axis=1)
+    if wanted & {Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL}:
+        S[F] = -np.inf
+        out[Concept.INDIVIDUAL] = stays()
+    if Concept.EXIT_DENIED in wanted:
+        out[Concept.EXIT_DENIED] = own_fin
+    if Concept.CONTRACTUAL_NASH in wanted:
+        out[Concept.CONTRACTUAL_NASH] = own_fin | out[Concept.NASH]
+    if Concept.CONTRACTUAL_INDIVIDUAL in wanted:
+        out[Concept.CONTRACTUAL_INDIVIDUAL] = own_fin | out[Concept.INDIVIDUAL]
+    return {c: out[c] for c in concepts}
+
+
+def _block_rows(U: np.ndarray, rows: np.ndarray, labels: np.ndarray, order: np.ndarray,
+                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block sums, own sums and refusals for the agents ``rows`` (ascending ids).
 
     ``S[r, j]`` is the sum of ``rows[r]``'s utilities over block j, one
     ``np.add.reduceat`` over the row's block-ordered entries, so it is
-    bit-identical whichever rows are asked for together.  ``fout[r, j]``: some
-    member of block j has a negative utility for ``rows[r]``.  The any-reduction
-    over each block's members ORs the refusal flags eight bytes at a time; the
-    flags are 0 or 1, so each byte of the OR is exactly their any.
+    bit-identical whichever rows are asked for together; ``own`` is its entry
+    at the row's own block.  ``F[r, j]``: some member of block j has a
+    negative utility for ``rows[r]``, or j is its own block.  The
+    any-reduction over each block's members ORs the refusal flags eight bytes
+    at a time; the flags are 0 or 1, so each byte of the OR is exactly their any.
     """
     n, m = U.shape[0], len(rows)
+    ar, lab = np.arange(m), labels[rows]
     S = np.add.reduceat(U[rows[:, None], order], starts, axis=1)
     # Adjacent rows (every full tile) read their columns as a slice, which is
     # faster than a gather.
@@ -196,22 +237,24 @@ def _block_rows(U: np.ndarray, rows: np.ndarray, order: np.ndarray,
     cols = U[:, rows[0]:rows[0] + m] if contiguous else U[:, rows]
     neg = np.zeros((n, -(-m // 8) * 8), dtype=bool)
     np.less(cols, 0, out=neg[:, :m])
-    fout = np.bitwise_or.reduceat(neg[order].view(np.uint64), starts, axis=0)
-    return S, fout.view(bool)[:, :m].T
+    F = np.bitwise_or.reduceat(neg[order].view(np.uint64), starts, axis=0).view(bool)[:, :m].T
+    F[ar, lab] = True
+    return S, S[ar, lab], F
 
 
 def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bool]:
     """Evaluate all seven concepts at once (no witnesses).
 
-    Each agent row is scanned only while it can still change a verdict.  Full
-    tiles of ``_TILE_ROWS`` rows are scanned while Nash, IS, IR or
-    enter-denied can still hold; after that only the rows of agents whose own
-    block holds nobody who likes them (``~own_fin``), since only those can
-    break CNS or CIS, and only while CIS holds (a CIS violation is a CNS one).
     ``own_fin``, and with it exit-denied, is read from each agent's own block.
-    The block sums of a row are one ``np.add.reduceat`` over its block-ordered
-    columns, bit-identical to one ``reduceat`` over the whole table.  Extra
-    memory is O(``_TILE_ROWS`` * n); no n x n or k x n array is built.
+    Each agent row is then scanned only while it can still change a verdict:
+    full tiles of ``_TILE_ROWS`` rows while Nash, IS, IR or enter-denied can
+    still hold, then only the rows of agents with nobody who likes them in
+    their own block (``~own_fin``), the only ones that can break CNS or CIS,
+    while either holds.  Each tile's verdicts are ``agent_verdicts`` of its
+    block sums, for the concepts that still hold.  A row's block sums are one
+    ``np.add.reduceat`` over its block-ordered columns, bit-identical to one
+    ``reduceat`` over the whole table.  Extra memory is O(``_TILE_ROWS`` * n);
+    no n x n or k x n array is built.
     """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
@@ -225,50 +268,21 @@ def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bo
     np.cumsum(block_sizes[:-1], out=starts[1:])
     own_fin = _own_favour(U, labels, order, starts, block_sizes)
 
-    def deviations(rows):
-        """Nash and IS deviation flags of ``rows``, their own sums and open blocks."""
-        ar = np.arange(len(rows))
-        lab = labels[rows]
-        S, fout = _block_rows(U, rows, order, starts)
-        own = S[ar, lab]
-        S[ar, lab] = -np.inf  # now the other blocks only; max is -inf when k == 1
-        leave = (block_sizes[lab] > 1) & (own < 0)  # strict gain as a new singleton
-        enter_open = ~fout
-        enter_open[ar, lab] = False
-        nash_dev = (S.max(axis=1) > own) | leave
-        is_dev = ((S > own[:, None]) & enter_open).any(axis=1) | leave
-        return nash_dev, is_dev, own, enter_open
-
-    nash = individual = cns = cis = ir = enter = True
-    scanned = 0
-    while scanned < n and (nash or individual or ir or enter):
-        rows = np.arange(scanned, min(scanned + _TILE_ROWS, n))
-        nash_dev, is_dev, own, enter_open = deviations(rows)
-        contested = ~own_fin[rows]
-        nash = nash and not nash_dev.any()
-        individual = individual and not is_dev.any()
-        cns = cns and not (nash_dev & contested).any()
-        cis = cis and not (is_dev & contested).any()
-        ir = ir and bool((own >= 0).all())
-        enter = enter and not enter_open.any()
-        scanned = rows[-1] + 1
-    contested = scanned + np.flatnonzero(~own_fin[scanned:])
-    for t0 in range(0, len(contested), _TILE_ROWS):
-        if not cis:
+    held = {c: True for c in Concept if c is not Concept.EXIT_DENIED}
+    full_tiles = (Concept.NASH, Concept.INDIVIDUAL, Concept.INDIVIDUALLY_RATIONAL,
+                  Concept.ENTER_DENIED)
+    rows_left = np.arange(n)
+    while any(held.values()):
+        if not any(held[c] for c in full_tiles):
+            rows_left = rows_left[~own_fin[rows_left]]  # only these can break CNS or CIS
+        if not len(rows_left):
             break
-        nash_dev, is_dev, _, _ = deviations(contested[t0:t0 + _TILE_ROWS])
-        cns = cns and not nash_dev.any()
-        cis = not is_dev.any()
-
-    return {
-        Concept.NASH: nash,
-        Concept.INDIVIDUAL: individual,
-        Concept.CONTRACTUAL_NASH: cns,
-        Concept.CONTRACTUAL_INDIVIDUAL: cis,
-        Concept.INDIVIDUALLY_RATIONAL: ir,
-        Concept.ENTER_DENIED: enter,
-        Concept.EXIT_DENIED: bool(own_fin.all()),
-    }
+        rows, rows_left = rows_left[:_TILE_ROWS], rows_left[_TILE_ROWS:]
+        verdicts = agent_verdicts(*_block_rows(U, rows, labels, order, starts), own_fin[rows],
+                                  concepts=[c for c in held if held[c]])
+        for c, ok in verdicts.items():
+            held[c] = bool(ok.all())
+    return {**held, Concept.EXIT_DENIED: bool(own_fin.all())}
 
 
 # (antecedents, consequent) pairs; an implication is violated when every

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hedonic_lab import clustering as clustering_mod
 from hedonic_lab import experiments as experiments_mod
+from hedonic_lab import oracle as oracle_mod
 from hedonic_lab.clustering import AlgoConfig
 from hedonic_lab.experiments import (
     Campaign,
@@ -26,7 +28,7 @@ from hedonic_lab.experiments import (
 )
 from hedonic_lab.games import HedonicGame, Partition
 from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions, exists_stable, stirling2
-from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
+from hedonic_lab.sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
 from hedonic_lab.stability import IMPLICATIONS, Concept, check, implied_concepts
 
 D = UtilityDistribution(-1, 1)
@@ -71,24 +73,29 @@ class TestCampaignValidation:
 
 class TestGrandStudy:
     def test_flags_match_reference_checker(self):
-        batch = np.empty((64, 5, 5))
-        rng = SeedSpec(505).rng()
-        batch[:] = rng.uniform(-1, 1, batch.shape)
         idx = np.arange(5)
-        batch[:, idx, idx] = 0.0
-        flags = grand_coalition_flags(batch)
-        for i in range(64):
-            g = HedonicGame(batch[i])
-            grand = Partition.grand(5)
-            singles = Partition.singletons(5)
-            assert flags["grand-exit-denied"][i] == check(
-                g, grand, Concept.EXIT_DENIED).stable
-            assert flags["grand-cns"][i] == check(
-                g, grand, Concept.CONTRACTUAL_NASH).stable
-            assert flags["grand-ir"][i] == check(
-                g, grand, Concept.INDIVIDUALLY_RATIONAL).stable
-            assert flags["grand-ns"][i] == check(g, grand, Concept.NASH).stable
-            assert flags["singleton-ns"][i] == check(g, singles, Concept.NASH).stable
+        uniform = SeedSpec(505).rng().uniform(-1, 1, (64, 5, 5))
+        # Utilities in {-2..2} give zero row sums and zero utilities: the
+        # own >= 0 and max <= 0 boundaries that U(-1, 1) games never reach.
+        ties = np.random.default_rng(506).integers(-2, 3, size=(400, 5, 5)).astype(float)
+        ties[:200] = np.minimum(ties[:200], 0.0)  # singleton-ns holds on some of them
+        for batch in (uniform, ties):
+            batch[:, idx, idx] = 0.0
+            flags = grand_coalition_flags(batch)
+            for i in range(len(batch)):
+                g = HedonicGame(batch[i])
+                grand = Partition.grand(5)
+                singles = Partition.singletons(5)
+                assert flags["grand-exit-denied"][i] == check(
+                    g, grand, Concept.EXIT_DENIED).stable
+                assert flags["grand-cns"][i] == check(
+                    g, grand, Concept.CONTRACTUAL_NASH).stable
+                assert flags["grand-ir"][i] == check(
+                    g, grand, Concept.INDIVIDUALLY_RATIONAL).stable
+                assert flags["grand-ns"][i] == check(g, grand, Concept.NASH).stable
+                assert flags["singleton-ns"][i] == check(g, singles, Concept.NASH).stable
+        assert (ties.sum(axis=2) == 0).any() and flags["grand-ns"].any()
+        assert flags["singleton-ns"].any() and not flags["singleton-ns"].all()
 
     def test_exit_denied_tracks_formula(self):
         campaign = Campaign(kind=CampaignKind.MC_GRAND, n_values=(8,), trials=4000,
@@ -285,8 +292,12 @@ class TestExistenceKernel:
 
     def test_benchmark_hook_names(self):
         # perfbench/tracing.py wraps these module attributes by name.
-        for name in ("exists_stable", "rgs_strings", "nash_existence_by_k", "nash_k_bound"):
-            assert callable(getattr(experiments_mod, name)), name
+        hooks = [(experiments_mod, name) for name in
+                 ("exists_stable", "rgs_strings", "nash_existence_by_k", "nash_k_bound")]
+        hooks += [(clustering_mod, "is_compatible"), (oracle_mod, "check"),
+                  (oracle_mod, "rgs_strings")]
+        for mod, name in hooks:
+            assert callable(getattr(mod, name)), (mod.__name__, name)
 
 
 class TestMcAlg:
@@ -343,6 +354,19 @@ class TestFixedShape:
         p_hat, p_ref = got / trials, count / trials
         se = math.sqrt(max(p_hat * (1 - p_hat), 1e-9) / trials) * 2
         assert abs(p_hat - p_ref) <= 4 * se + 0.01
+
+    @pytest.mark.parametrize("n,k,base,trials", [(4, 2, 0, 600), (6, 3, 5, 20000),
+                                                 (6, 2, 1 << 40, 6000)])
+    def test_counts_equal_check_on_the_same_games(self, n, k, base, trials):
+        # One chunk: the function draws its games from the generator of
+        # stream ``base`` of the master, then zeroes the diagonal.
+        master = SeedSpec(125)
+        batch = D.sample(derive_trial_seed(master, base).rng(), (trials, n, n))
+        batch[:, np.arange(n), np.arange(n)] = 0.0
+        shape = Partition.from_labels(np.repeat(np.arange(k), n // k).tolist())
+        expected = sum(check(HedonicGame(U), shape, Concept.NASH).stable for U in batch)
+        assert fixed_shape_ns_successes(n, k, trials, D, master, base) == expected
+        assert expected > 0
 
     def test_rejects_singleton_shapes(self):
         with pytest.raises(ValueError):
