@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 input error, 3 violation detected in verify modes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -147,16 +148,30 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _cmd_mc(args) -> int:
-    # Explicit flags win; file values fill the gaps; then hard defaults.
+def _config_value(action: argparse.Action, key: str, text: str, path) -> object:
+    """A config-file value converted and checked as its command-line flag would be."""
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value {text!r} for key {key!r} in config file {path}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"bad value {text!r} for key {key!r} in config file {path}; "
+                         f"choose from {', '.join(map(str, action.choices))}")
+    return value
+
+
+def _cmd_mc(args, actions: dict[str, argparse.Action]) -> int:
+    # Explicit flags win; file values fill the gaps; then hard defaults.  Every
+    # file value is checked before anything runs.
     if args.config:
         settable = set(vars(args)) - {"fn", "command", "config"}
         for key, val in _read_config_file(args.config).items():
             attr = key.replace("-", "_")
             if attr not in settable:
                 raise ValueError(f"unknown key {key!r} in config file {args.config}")
+            value = _config_value(actions[attr], key, val, args.config)
             if getattr(args, attr) is None:
-                setattr(args, attr, val)
+                setattr(args, attr, value)
     if args.n is None:
         raise ValueError("mc needs --n (or n= in the config file)")
     args.kind = args.kind or "mc-alg"
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
-    p.set_defaults(fn=_cmd_mc)
+    p.set_defaults(fn=functools.partial(_cmd_mc, actions={a.dest: a for a in p._actions}))
     return parser
 
 

@@ -7,7 +7,8 @@ coalition flags, fixed-shape stability, exhaustive existence) are vectorized
 over trial batches; each forms its block sums in its own layout and reduces
 the per-agent verdicts of ``stability.agent_verdicts``.  Exhaustive existence,
 for every concept, is one pass of ``existence_by_k`` over all set partitions
-per n; ``check`` is not called.
+per n, each built in one step from its (n − 1)-agent prefix, whose block sums
+are formed once for all its children; ``check`` is not called.
 """
 from __future__ import annotations
 
@@ -243,19 +244,91 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # ------------------------------------------------------- ORACLE_EXISTENCE ----
 
-# Restricted growth strings read from ``rgs_strings`` per table slice (int8,
-# _RGS_ROWS × n bytes), and float64 elements per block-sum chunk (partitions ×
-# blocks × games × agents).  A chunk holds at least one partition, so it holds
-# max(_CHUNK, k·T·n) sums: 256 KB while k·T·n ≤ _CHUNK, but T = 2,000 games at
-# n = 9 make one-partition chunks of up to 9·2,000·9 sums (1.3 MB) at k = 9.
+# Restricted growth strings of the first n − 1 agents (the prefixes) are read
+# from ``rgs_strings`` per table slice (int8, _RGS_ROWS × (n − 1) bytes).  A
+# chunk is the children built at once for a group of prefixes: some of their
+# join children, or all their new-block children.  It holds at least one
+# child of k blocks, so at most max(_CHUNK, k·T·n) float64 sums (children ×
+# blocks × games × agents): 512 KB while k·T·n ≤ _CHUNK, but T = 2,000 games
+# at n = 9 make one-child chunks of up to 9·2,000·9 sums (1.3 MB) at k = 9.
+# The prefixes' own sums, m·T·n each, live beside their chunks and are fewer
+# than their new-block children's.
 _RGS_ROWS = 1 << 14
-_CHUNK = 1 << 15
+_CHUNK = 1 << 16
 
-# Concepts read from ``F`` (some member of a block has a negative utility for
-# the agent) and from ``G`` (some member, a positive one).
+# Concepts read from the block sums, from ``F`` (some member of a block has a
+# negative utility for the agent) and from ``G`` (some member, a positive one).
+_NEEDS_S = frozenset(Concept) - {Concept.ENTER_DENIED, Concept.EXIT_DENIED}
 _NEEDS_F = frozenset({Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL, Concept.ENTER_DENIED})
 _NEEDS_G = frozenset({Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL,
                       Concept.EXIT_DENIED})
+
+
+def _prefix_tables(n: int):
+    """Restricted growth strings of length n − 1 as int8 tables of at most _RGS_ROWS rows."""
+    if n == 1:
+        yield np.zeros((1, 0), np.int8)
+        return
+    strings = itertools.chain.from_iterable(rgs_strings(n - 1))
+    while True:
+        table = np.fromiter(itertools.islice(strings, _RGS_ROWS * (n - 1)),
+                            np.int8).reshape(-1, n - 1)
+        if not len(table):
+            return
+        yield table
+
+
+def _join_children(acc: np.ndarray, last: np.ndarray, c0: int, w: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Rows of the join children, written to the front of ``out``: the parents'
+    rows ``acc`` (P, 1, m, T·n), one copy per block c in c0..c0+w−1, with
+    ``last`` added to row c."""
+    P, _, m, TN = acc.shape
+    child = out[:P * w * m * TN].reshape(P, w, m, TN)
+    child[...] = acc
+    child = child.reshape(P, w * m, TN)
+    # Row c0 + i of copy i is row i·m + c0 + i = c0 + i·(m + 1): a strided view.
+    child[:, c0::m + 1][:, :w] += last
+    return child.reshape(-1, TN)
+
+
+def _new_block_child(acc: np.ndarray, last: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows of the new-block children, written to the front of ``out``: the
+    parents' rows ``acc`` (P, 1, m, T·n) and, as block m, 0 plus ``last``."""
+    P, _, m, TN = acc.shape
+    child = out[:P * (m + 1) * TN].reshape(P, m + 1, TN)
+    child[:, :m] = acc[:, 0]
+    child[:, m] = 0
+    child[:, m] += last
+    return child.reshape(-1, TN)
+
+
+def _fold_verdicts(exists: dict, layers: dict, lab: np.ndarray, k: int,
+                   flat_agent: np.ndarray) -> None:
+    """OR into ``exists[c][:, k]`` whether some partition ``lab`` (rows of
+    labels, k blocks) is stable; ``layers`` holds its sums ``"S"`` and masks
+    ``"F"``/``"G"``, row p * k + j for block j of partition p."""
+    P = len(lab)
+    T, n = flat_agent.shape
+    # own_at[p, t, a]: the flat index of agent a's entry at its own block.
+    own_at = ((np.arange(P)[:, None] * k + lab) * (T * n))[:, None, :] + flat_agent
+    S, F, G = layers.get("S"), layers.get("F"), layers.get("G")
+    own, own_fin = 0.0, None  # read only by concepts that need S, G
+    if S is not None:
+        own = S.reshape(-1).take(own_at)
+        S = S.reshape(P, k, T, n)
+    if F is not None:
+        if Concept.ENTER_DENIED in exists:  # the only reader of the own flag
+            F.reshape(-1)[own_at] = True
+        F = F.reshape(P, k, T, n)
+    if G is not None:
+        own_fin = G.reshape(-1).take(own_at)
+    ok = agent_verdicts(S, own, F, own_fin, concepts=exists)
+    for c, ex in exists.items():
+        # ``all`` over agents, with the agent axis moved first: along the
+        # short last axis NumPy would loop once per (partition, game) row.
+        stays = np.logical_and.reduce(np.ascontiguousarray(np.moveaxis(ok[c], -1, 0)))
+        ex[:, k] |= stays.any(axis=0)
 
 
 def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
@@ -263,19 +336,24 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     count k whether some partition into exactly k coalitions is stable.
 
     Exhaustive over all set partitions; returns one boolean array of shape
-    (T, n + 1) per requested concept, indexed by k (entry 0 unused).
-    Partitions are read from ``rgs_strings`` in table slices and tested many
-    per NumPy call, grouped by block count.  Each block sum starts at 0.0 and
-    adds its members in ascending order, the order ``check`` sums in, and
-    every concept is a reduction of ``agent_verdicts`` over those sums and two
-    favour masks, scattered by block exactly as the sums are:
+    (T, n + 1) per requested concept, indexed by k (entry 0 unused).  Each
+    partition is a child of its prefix, the partition of agents 0..n−2 it
+    restricts to: with m prefix blocks, the last agent joins block c (k = m)
+    or opens block m (k = m + 1).  Prefixes are read from ``rgs_strings(n −
+    1)`` in table slices, grouped by m, and their block sums are scattered
+    once per chunk of them; each child copies its parent's rows and adds the
+    last agent to one of them.  So each block sum starts at 0.0 and adds its
+    members in ascending order, the order ``check`` sums in, and every
+    concept is a reduction of ``agent_verdicts`` over those sums and two
+    favour masks, built by block exactly as the sums are (``+`` on booleans
+    is OR):
 
     - ``F[p * k + j, t * n + a]``: some member b of block j has u_b(a) < 0,
       and set at the own block when enter-denied is requested;
     - ``G``: the same with u_b(a) > 0 (``own_fin`` is ``G`` at the own block).
 
-    ``F`` and ``G`` are built only when a requested concept reads them.  A
-    batch that is not square or has a nonzero diagonal raises ``ValueError``.
+    Sums, ``F`` and ``G`` are built only when a requested concept reads them.
+    A batch that is not square or has a nonzero diagonal raises ``ValueError``.
     """
     T, n, n2 = games.shape
     if n != n2:
@@ -289,50 +367,55 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     if T == 0 or not exists:
         return exists
     wanted = set(exists)
-    need_f, need_g = wanted & _NEEDS_F, wanted & _NEEDS_G
-    # cols[b] holds u_a(b) for every (game, agent) pair, agent fastest; the
-    # favour rows hold u_b(a) in the same layout.
-    cols = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, T * n)
-    u_of_agent = games.transpose(1, 0, 2).reshape(n, T * n)
-    dislikes = u_of_agent < 0 if need_f else None
-    likes = u_of_agent > 0 if need_g else None
-    flat_agent = np.arange(T * n).reshape(T, n)
-    strings = itertools.chain.from_iterable(rgs_strings(n))
-    while True:
-        table = np.fromiter(itertools.islice(strings, _RGS_ROWS * n), np.int8).reshape(-1, n)
-        if not len(table):
-            return exists
-        counts = table.max(axis=1) + 1
-        for k in np.unique(counts).tolist():
-            rows = table[counts == k]
-            step = max(1, _CHUNK // (k * T * n))
-            for p0 in range(0, len(rows), step):
-                lab = rows[p0:p0 + step]
+    TN = T * n
+    # per_agent[key][b] is what agent b adds to its block's row, for every
+    # (game, agent a) pair, agent fastest: u_a(b) to the sums, u_b(a) < 0 to
+    # F and u_b(a) > 0 to G.
+    per_agent = {}
+    if wanted & _NEEDS_S:
+        per_agent["S"] = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, TN)
+    if wanted & _NEEDS_F:
+        per_agent["F"] = (games < 0).transpose(1, 0, 2).reshape(n, TN)
+    if wanted & _NEEDS_G:
+        per_agent["G"] = (games > 0).transpose(1, 0, 2).reshape(n, TN)
+    flat_agent = np.arange(TN).reshape(T, n)
+    # Every chunk's children are written to one buffer per layer, which holds
+    # the largest chunk: a fresh array per chunk would have the allocator map
+    # and fault in its pages again and again once the heap is trimmed.
+    out = {key: np.empty(max(_CHUNK, n * TN), rows.dtype) for key, rows in per_agent.items()}
+    for table in _prefix_tables(n):
+        counts = table.max(axis=1, initial=-1) + 1
+        for m in np.unique(counts).tolist():
+            parents = table[counts == m]
+            # A chunk of parents has m join children of m blocks each and one
+            # new-block child of m + 1; both sets fit in _CHUNK sums.
+            step = max(1, _CHUNK // (max(m, 1) * (m + 1) * TN))
+            for p0 in range(0, len(parents), step):
+                lab = parents[p0:p0 + step]
                 P = len(lab)
-                # Row p * k + j of each table is block j of partition p.
-                block_row = np.arange(P)[:, None] * k + lab
-                own_at = (block_row[:, None, :], flat_agent)
-                # S[p * k + j, t * n + a]: agent a's sum over block j of partition p, game t.
-                S = np.zeros((P * k, T * n))
-                for b in range(n):
-                    S[block_row[:, b]] += cols[b]
-                F = own_fin = None
-                if need_f:
-                    F = np.zeros((P * k, T * n), dtype=bool)
-                    for b in range(n):
-                        F[block_row[:, b]] |= dislikes[b]
-                    if Concept.ENTER_DENIED in wanted:  # the only reader of the own flag
-                        F[own_at] = True
-                    F = F.reshape(P, k, T, n)
-                if need_g:
-                    G = np.zeros((P * k, T * n), dtype=bool)
-                    for b in range(n):
-                        G[block_row[:, b]] |= likes[b]
-                    own_fin = G[own_at]
-                ok = agent_verdicts(S.reshape(P, k, T, n), S[own_at], F, own_fin,
-                                    concepts=exists)
-                for c, ex in exists.items():
-                    ex[:, k] |= ok[c].all(axis=-1).any(axis=0)
+                block_row = np.arange(P)[:, None] * m + lab
+                base = {}
+                for key, rows in per_agent.items():
+                    acc = np.zeros((P * m, TN), rows.dtype)
+                    for b in range(n - 1):
+                        acc[block_row[:, b]] += rows[b]
+                    base[key] = acc.reshape(P, 1, m, TN)
+                # Join children, ``width`` targets per parent per chunk: all m
+                # of them unless one parent's m·m·T·n sums exceed _CHUNK.
+                width = max(1, _CHUNK // (P * max(m, 1) * TN))
+                for c0 in range(0, m, width):
+                    w = min(width, m - c0)
+                    child_lab = np.empty((P, w, n), np.int8)
+                    child_lab[:, :, :-1] = lab[:, None]
+                    child_lab[:, :, -1] = np.arange(c0, c0 + w)
+                    children = {key: _join_children(acc, per_agent[key][n - 1], c0, w, out[key])
+                                for key, acc in base.items()}
+                    _fold_verdicts(exists, children, child_lab.reshape(P * w, n), m, flat_agent)
+                child_lab = np.concatenate((lab, np.full((P, 1), m, np.int8)), axis=1)
+                children = {key: _new_block_child(acc, per_agent[key][n - 1], out[key])
+                            for key, acc in base.items()}
+                _fold_verdicts(exists, children, child_lab, m + 1, flat_agent)
+    return exists
 
 
 def nash_existence_by_k(games: np.ndarray) -> np.ndarray:

@@ -188,25 +188,24 @@ def agent_verdicts(S: np.ndarray, own, F: np.ndarray | None = None,
     a singleton; it may be a scalar) and ``own_fin`` (some other member of the
     own block has a positive utility for the agent) lack that axis.  Nash stays
     when no block sum beats ``own`` and ``own >= 0``; IS when the same holds
-    once the blocks flagged in ``F`` are set to -inf, in ``S`` itself.  IR is
-    ``own >= 0``; enter-denied is ``F`` on every block, so it needs ``F`` True
-    at the own block, which IS ignores; exit-denied is ``own_fin``; CNS and CIS
-    also hold where ``own_fin`` does.  Only the requested verdicts are computed.
+    for the blocks not flagged in ``F``.  IR is ``own >= 0``; enter-denied is
+    ``F`` on every block, so it needs ``F`` True at the own block, which IS
+    ignores; exit-denied is ``own_fin``; CNS and CIS also hold where
+    ``own_fin`` does.  Only the requested verdicts are computed; no argument
+    is written to.
     """
     wanted = set(concepts)
     rational = own >= 0
     out = {Concept.INDIVIDUALLY_RATIONAL: rational}
 
-    def stays():
-        return (S.max(axis=1) <= own) & rational
-
     if wanted & {Concept.NASH, Concept.CONTRACTUAL_NASH}:
-        out[Concept.NASH] = stays()
+        out[Concept.NASH] = (S.max(axis=1) <= own) & rational
     if Concept.ENTER_DENIED in wanted:
         out[Concept.ENTER_DENIED] = F.all(axis=1)
     if wanted & {Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL}:
-        S[F] = -np.inf
-        out[Concept.INDIVIDUAL] = stays()
+        # A block flagged in F refuses the agent, so it cannot beat ``own``.
+        kept = (S <= (own[:, None] if np.ndim(own) else own)) | F
+        out[Concept.INDIVIDUAL] = kept.all(axis=1) & rational
     if Concept.EXIT_DENIED in wanted:
         out[Concept.EXIT_DENIED] = own_fin
     if Concept.CONTRACTUAL_NASH in wanted:

@@ -139,6 +139,30 @@ class TestMc:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["format = xml", "groups = four", "tau = high",
+                                      "clique-size = 2.5"])
+    def test_config_file_bad_value_fails_before_the_campaign(self, tmp_path, capsys,
+                                                               monkeypatch, line):
+        def refuse(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr("hedonic_lab.cli.run_campaign", refuse)
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text(f"kind = mc-grand\nn = 5\n{line}\n")
+        out = tmp_path / "res.csv"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split(" = ")[0]
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_values_are_converted(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("kind = mc-grand\nn = 5\ntrials = 50\nformat = json\ngroups = 3\n")
+        out = tmp_path / "res.json"
+        code, _ = run_cli(capsys, "mc", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["results"][0]["trials"] == 50
+
     def test_missing_n_is_input_error(self, capsys):
         assert main(["mc", "--kind", "mc-grand", "--trials", "5"]) == 2
 
@@ -172,6 +196,9 @@ ALL_CONCEPTS = ("nash,individual,contractual-nash,contractual-individual,"
                          "--seed", "13")),
     ("bounds_compare_seed17", ("--kind", "bounds-compare", "--n", "6", "--shape-k", "2,3",
                                "--trials", "20000", "--seed", "17")),
+    ("oracle_existence_n89_seed23", ("--kind", "oracle-existence", "--n", "8,9",
+                                     "--concepts", "nash,individual,contractual-nash",
+                                     "--trials", "60", "--seed", "23")),
 ])
 def test_campaign_export_is_pinned(tmp_path, capsys, name, argv):
     """Fixed-seed exports of the batched campaign kinds equal the committed CSVs byte for byte.

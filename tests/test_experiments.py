@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import tracemalloc
 
@@ -27,11 +29,75 @@ from hedonic_lab.experiments import (
     WILSON_Z,
 )
 from hedonic_lab.games import HedonicGame, Partition
-from hedonic_lab.oracle import EnumerationLimitError, enumerate_partitions, exists_stable, stirling2
+from hedonic_lab.oracle import (
+    EnumerationLimitError,
+    enumerate_partitions,
+    exists_stable,
+    rgs_strings,
+    stirling2,
+)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
-from hedonic_lab.stability import IMPLICATIONS, Concept, check, implied_concepts
+from hedonic_lab.stability import IMPLICATIONS, Concept, agent_verdicts, check, implied_concepts
 
 D = UtilityDistribution(-1, 1)
+
+
+def existence_by_k_scatter(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
+    """``existence_by_k`` with every partition's rows scattered from scratch, for cross-checking.
+
+    Partitions of each block count k are tested in chunks; each block sum
+    starts at 0.0 and adds all n members in ascending order, and the favour
+    masks are ORed the same way.  No partition is built from another.
+    """
+    T, n, _ = games.shape
+    exists = {c: np.zeros((T, n + 1), dtype=bool) for c in concepts}
+    cols = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, T * n)
+    dislikes = (games < 0).transpose(1, 0, 2).reshape(n, T * n)
+    likes = (games > 0).transpose(1, 0, 2).reshape(n, T * n)
+    flat_agent = np.arange(T * n).reshape(T, n)
+    table = np.fromiter(itertools.chain.from_iterable(rgs_strings(n)), np.int64).reshape(-1, n)
+    counts = table.max(axis=1) + 1
+    for k in np.unique(counts).tolist():
+        rows = table[counts == k]
+        step = max(1, (1 << 15) // (k * T * n))
+        for p0 in range(0, len(rows), step):
+            lab = rows[p0:p0 + step]
+            P = len(lab)
+            block_row = np.arange(P)[:, None] * k + lab
+            own_at = (block_row[:, None, :], flat_agent)
+            S = np.zeros((P * k, T * n))
+            F = np.zeros((P * k, T * n), dtype=bool)
+            G = np.zeros((P * k, T * n), dtype=bool)
+            for b in range(n):
+                S[block_row[:, b]] += cols[b]
+                F[block_row[:, b]] |= dislikes[b]
+                G[block_row[:, b]] |= likes[b]
+            F[own_at] = True  # read by enter-denied only
+            ok = agent_verdicts(S.reshape(P, k, T, n), S[own_at], F.reshape(P, k, T, n),
+                                G[own_at], concepts=exists)
+            for c, ex in exists.items():
+                ex[:, k] |= ok[c].all(axis=-1).any(axis=0)
+    return exists
+
+
+def count_folds(monkeypatch) -> collections.Counter:
+    """Count, per block count k, the chunks whose verdicts ``existence_by_k`` ORs in."""
+    folds = collections.Counter()
+    fold = experiments_mod._fold_verdicts
+
+    def counting(exists, layers, lab, k, flat_agent):
+        folds[k] += 1
+        fold(exists, layers, lab, k, flat_agent)
+
+    monkeypatch.setattr(experiments_mod, "_fold_verdicts", counting)
+    return folds
+
+
+def integer_games(seed: int, T: int, n: int) -> np.ndarray:
+    """Utilities in {-2..2}: exact ties, zero sums and zero favours at every k."""
+    games = np.random.default_rng(seed).integers(-2, 3, size=(T, n, n)).astype(float)
+    games[:, np.arange(n), np.arange(n)] = 0.0
+    return games
 
 
 class TestWilson:
@@ -157,15 +223,14 @@ class TestOracleExistence:
         monkeypatch.setattr(experiments_mod, "_RGS_ROWS", 7)
         assert np.array_equal(nash_existence_by_k(games), ref)
 
-    def test_engine_matches_reference_across_chunks(self):
+    def test_engine_matches_reference_across_chunks(self, monkeypatch):
         # Each middle k spans several block-sum chunks, so a chunk that
         # overwrote rather than OR-ed the earlier chunks' verdicts would show.
         T, n = 60, 8
-        for k in (2, 3, 4, 5):
-            per_chunk = max(1, experiments_mod._CHUNK // (k * T * n))
-            assert stirling2(n, k) >= 3 * per_chunk
         games = np.stack([sample_game(n, D, SeedSpec(7100 + t)).utilities for t in range(T)])
+        folds = count_folds(monkeypatch)
         ex = nash_existence_by_k(games)
+        assert all(folds[k] >= 3 for k in (2, 3, 4, 5)), folds
         assert np.array_equal(ex, self.reference_by_k(games))
         assert ex[:, 2:6].sum() >= 5
 
@@ -237,14 +302,60 @@ class TestExistenceKernel:
         monkeypatch.setattr(experiments_mod, "_RGS_ROWS", 7)
         self.assert_matches_reference(games)
 
-    def test_matches_reference_across_chunks(self):
+    def test_matches_reference_across_chunks(self, monkeypatch):
         # k = 2..5 each span at least 3 chunks, so the favour masks and verdicts
         # of every chunk must land in its own rows and OR into the earlier ones.
         T, n = 60, 8
-        for k in (2, 3, 4, 5):
-            assert stirling2(n, k) >= 3 * max(1, experiments_mod._CHUNK // (k * T * n))
         games = np.stack([sample_game(n, D, SeedSpec(7600 + t)).utilities for t in range(T)])
+        folds = count_folds(monkeypatch)
         self.assert_matches_reference(games)
+        assert all(folds[k] >= 3 for k in (2, 3, 4, 5)), folds
+
+    @staticmethod
+    def assert_matches_scatter(games: np.ndarray, concepts=tuple(Concept)) -> None:
+        got = existence_by_k(games, concepts)
+        want = existence_by_k_scatter(games, concepts)
+        for c in concepts:
+            assert np.array_equal(got[c], want[c]), c
+
+    @pytest.mark.parametrize("games,slice_rows", [
+        *((integer_games(650 + n, 30, n), 7) for n in range(1, 8)),
+        (np.stack([sample_game(8, D, SeedSpec(7650 + t)).utilities for t in range(60)]), 50),
+        (np.stack([sample_game(9, D, SeedSpec(7710 + t)).utilities for t in range(8)]), 500),
+    ], ids=[*(f"integer-n{n}" for n in range(1, 8)), "uniform-n8", "uniform-n9"])
+    def test_matches_scatter_reference(self, games, slice_rows, monkeypatch):
+        # Building each partition from its prefix adds the same floats in the
+        # same order as scattering it from scratch, so every array is equal.
+        self.assert_matches_scatter(games)
+        # Short table slices split every prefix block count across several of them.
+        monkeypatch.setattr(experiments_mod, "_RGS_ROWS", slice_rows)
+        self.assert_matches_scatter(games)
+
+    def test_splits_join_children_across_chunks(self, monkeypatch):
+        # Room for two 5-block children per chunk: one parent per chunk, and
+        # the join children of a prefix with m >= 4 blocks take several chunks.
+        T, n = 30, 6
+        games = integer_games(670, T, n)
+        monkeypatch.setattr(experiments_mod, "_CHUNK", 2 * (n - 1) * T * n)
+        folds = count_folds(monkeypatch)
+        self.assert_matches_scatter(games)
+        # k = 4: two chunks per 4-block prefix, one per 3-block prefix.
+        assert folds[4] == 2 * stirling2(n - 1, 4) + stirling2(n - 1, 3), folds
+
+    @pytest.mark.parametrize("concepts", [(Concept.ENTER_DENIED,), (Concept.EXIT_DENIED,),
+                                          (Concept.ENTER_DENIED, Concept.EXIT_DENIED)])
+    def test_denial_concepts_build_no_sums(self, concepts, monkeypatch):
+        games = integer_games(680, 30, 6)
+        calls = []
+        verdicts = experiments_mod.agent_verdicts
+
+        def spy(S, own, *args, **kwargs):
+            calls.append((S, own))
+            return verdicts(S, own, *args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "agent_verdicts", spy)
+        self.assert_matches_scatter(games, concepts)
+        assert calls and all(S is None and own == 0.0 for S, own in calls)
 
     def test_requested_concepts_only(self):
         games = np.stack([sample_game(6, D, SeedSpec(7700 + t)).utilities for t in range(20)])
@@ -272,6 +383,22 @@ class TestExistenceKernel:
         assert np.array_equal(ex[Concept.NASH][:, 1], flags["grand-ns"])
         assert np.array_equal(ex[Concept.EXIT_DENIED][:, 1], flags["grand-exit-denied"])
         assert np.array_equal(ex[Concept.CONTRACTUAL_NASH][:, 1], flags["grand-cns"])
+
+    def test_memory_at_criterion_5_shape(self):
+        # Criterion 5's batch at n = 7: 2,000 Nash games, so every chunk holds
+        # one parent and each of its join children is built alone.
+        games = experiments_mod._sample_game_batch(
+            7, D, SeedSpec(20240607), 4 * experiments_mod.TRIAL_BLOCK, 0, 2000)
+        tracemalloc.start()
+        try:
+            ex = nash_existence_by_k(games)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20, f"{peak} bytes"
+        flags = grand_coalition_flags(games)
+        assert np.array_equal(ex[:, 1], flags["grand-ns"])
+        assert np.array_equal(ex[:, 7], flags["singleton-ns"])
 
     def test_oracle_existence_calls_no_fallback(self, monkeypatch):
         def refuse(*args, **kwargs):
