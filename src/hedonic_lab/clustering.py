@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "default_clique_size",
     "default_stage1_remainder_cap",
     "AlgoConfig",
-    "GroupAssignment",
     "ValueClass",
     "RevelationLedger",
     "StageReport",
@@ -89,14 +88,14 @@ class AlgoConfig:
     Defaults follow the asymptotic analysis (20 groups, threshold 1/2,
     compatibility constant 1/80, clique size ceil(log16 n / 2)); desk-scale
     experiments override them, since those constants only bite at enormous n.
+    The remainder caps behind the stage-1/2 success flags are fixed defaults
+    (``stage1_cap``, ``stage2_cap``), not settings.
     """
 
     num_groups: int = 20
     edge_threshold: float = 0.5
     compat_constant: float = 1.0 / 80.0
     clique_size_rule: Callable[[int], int] | None = None
-    stage1_remainder_cap: Callable[[int], float] | None = None
-    stage2_remainder_cap: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.num_groups < 2:
@@ -114,38 +113,18 @@ class AlgoConfig:
         return s
 
     def stage1_cap(self, n: int) -> float:
-        rule = self.stage1_remainder_cap or default_stage1_remainder_cap
-        return float(rule(n))
+        """Per-group stage-1 remainder allowance, ``default_stage1_remainder_cap(n)``."""
+        return default_stage1_remainder_cap(n)
 
     def stage2_cap(self, n: int) -> float:
         """Combined remainder allowance for stage-2 success accounting.
 
-        Default: g * stage1_cap + (4 g / r) * s with r the merge-failure
-        exponent, which is vacuous at desk scale; tuned configs tighten it.
+        Fixed at g * stage1_cap + (4 g / r) * s with r the merge-failure
+        exponent, which is vacuous at desk scale.
         """
-        if self.stage2_remainder_cap is not None:
-            return float(self.stage2_remainder_cap(n))
         g = self.num_groups
         s = self.clique_size(n)
         return g * self.stage1_cap(n) + (4.0 * g / DEFAULT_MERGE_FAILURE_EXPONENT) * s
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Round-robin split of the agents into groups of near-equal size."""
-
-    num_groups: int
-    groups: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def round_robin(cls, n: int, num_groups: int) -> "GroupAssignment":
-        groups = tuple(tuple(range(j, n, num_groups)) for j in range(num_groups))
-        return cls(num_groups, groups)
-
-    def __post_init__(self) -> None:
-        sizes = {len(g) for g in self.groups}
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise ValueError("group sizes must differ by at most one")
 
 
 class ValueClass(enum.Enum):
@@ -162,7 +141,8 @@ _ENCODE = {entry: code for code, entry in enumerate(_DECODE) if entry is not Non
 _STAGE_CODES = {1: (_BELOW, _AT_LEAST), 2: (_STAGE2,), 3: (_STAGE3,)}
 
 
-def _cross_keys(sources: list[list[int]], targets: list[list[int]], n: int) -> np.ndarray:
+def _cross_keys(sources: Sequence[Sequence[int]], targets: Sequence[Sequence[int]],
+                n: int) -> np.ndarray:
     """Flat keys ``src * n + dst`` of the union of the blocks sources[i] x targets[i]."""
     n_src = np.fromiter(map(len, sources), dtype=np.intp, count=len(sources))
     n_tgt = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
@@ -448,7 +428,7 @@ def _row_sum(vals: list[float]) -> float:
     return _row_sum(vals[:half]) + _row_sum(vals[half:])
 
 
-def _admit(entry: memoryview, cand: list[int], merged: list[int], k: int,
+def _admit(entry: memoryview, cand: Sequence[int], merged: Sequence[int], k: int,
            thr_cand: float, thr_merged: float) -> tuple[bool, int, int, int]:
     """``is_compatible`` on sorted, disjoint, valid ids, through a memoryview ``entry``.
 
@@ -472,8 +452,7 @@ def _admit(entry: memoryview, cand: list[int], merged: list[int], k: int,
     return ok, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
 
 
-@dataclass(frozen=True)
-class AttemptRecord:
+class AttemptRecord(NamedTuple):
     """One stage-2 merge attempt: which round, which position, how many checks."""
 
     round_index: int
@@ -484,17 +463,15 @@ class AttemptRecord:
     pair_units: int
 
 
-@dataclass
-class _ClusterResult:
-    partition: PartialPartition
-    remainder: set[int]
-    composition: tuple[tuple[tuple[int, ...], ...], ...]
-    attempts: tuple[AttemptRecord, ...]
-
-
 def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartition],
-                             config: AlgoConfig,
-                             ledger: RevelationLedger | None) -> _ClusterResult:
+                             config: AlgoConfig, ledger: RevelationLedger | None
+                             ) -> tuple[PartialPartition, set[int],
+                                        tuple[tuple[tuple[int, ...], ...], ...],
+                                        tuple[AttemptRecord, ...]]:
+    """``greedy_cluster`` that also returns each merged coalition's cliques and every attempt.
+
+    Returns (merged, remainder, composition, attempts).
+    """
     g = len(partitions)
     if g < 2:
         raise ValueError("need at least two partial partitions to merge")
@@ -512,33 +489,33 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     s = config.clique_size(n)
     thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
 
+    # Blocks are sorted (``greedy_cliques`` builds them ascending, ``PartialPartition``
+    # sorts a caller's), so ``_admit`` reads them as they are.
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
-    # Each block's ids as a sorted list of ints, kept parallel to ``avail``.
-    avail_lists = [[sorted(map(int, b)) for b in group] for group in avail]
     # The blocks sources[i] x targets[i] every attempt revealed, written at the end.
-    sources: list[list[int]] = []
-    targets: list[list[int]] = []
+    sources: list[Sequence[int]] = []
+    targets: list[Sequence[int]] = []
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
     attempts: list[AttemptRecord] = []
 
-    def finish() -> _ClusterResult:
+    def finish():
         if ledger is not None:
             ledger._write(_cross_keys(sources, targets, n), _STAGE2)
         leftovers: set[int] = set()
         for group in avail:
             for block in group:
                 leftovers.update(block)
-        return _ClusterResult(PartialPartition(n, merged_blocks, _trusted=True),
-                              leftovers, tuple(composition), tuple(attempts))
+        return (PartialPartition(n, merged_blocks, _trusted=True), leftovers,
+                tuple(composition), tuple(attempts))
 
     while avail[0]:
         chosen_idx: list[int] = [0] * g
-        merged_list = avail_lists[0][0]
+        merged_list: Sequence[int] = avail[0][0]
         for kk in range(1, g):
             thr_cand, thr_merged = thresholds[kk]
             found = None
-            for idx, cand in enumerate(avail_lists[kk]):
+            for idx, cand in enumerate(avail[kk]):
                 ok, units, n_eval, n_eval2 = _admit(entry, cand, merged_list, kk + 1,
                                                     thr_cand, thr_merged)
                 if ledger is not None:
@@ -551,12 +528,9 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
             if found is None:
                 return finish()
             chosen_idx[kk] = found
-            merged_list = sorted(merged_list + avail_lists[kk][found])
-        composition.append(tuple(avail[kk][chosen_idx[kk]] for kk in range(g)))
-        for kk in range(g):
-            avail[kk].pop(chosen_idx[kk])
-            avail_lists[kk].pop(chosen_idx[kk])
-        merged_blocks.append(tuple(merged_list))
+            merged_list = sorted((*merged_list, *avail[kk][found]))
+        composition.append(tuple(avail[kk].pop(chosen_idx[kk]) for kk in range(g)))
+        merged_blocks.append(tuple(map(int, merged_list)))  # callers' blocks may hold NumPy ints
     return finish()
 
 
@@ -576,8 +550,7 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     function: entries read one at a time, sums in NumPy's pairwise order.
     Overlapping partial partitions raise ``PartitionError``.
     """
-    res = _greedy_cluster_detailed(game, partitions, config, ledger)
-    return res.partition, res.remainder
+    return _greedy_cluster_detailed(game, partitions, config, ledger)[:2]
 
 
 def complete_partition(game: HedonicGame, merged: PartialPartition,
@@ -600,6 +573,8 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     for a in rem:
         game.check_agent(a)
     carrier = merged.carrier
+    if max(carrier, default=-1) >= game.n:
+        raise InvalidAgentError(f"agent ids must lie in 0..{game.n - 1}")
     overlap = carrier.intersection(rem)
     if overlap:
         raise PartitionError(f"remainder overlaps the merged carrier: {sorted(overlap)[:5]}")
@@ -626,20 +601,10 @@ class StageReport:
     coalition_size_histogram: dict[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_groups": self.num_groups,
-            "clique_size": self.clique_size,
-            "stage1_success": self.stage1_success,
-            "stage2_success": self.stage2_success,
-            "stage3_success": self.stage3_success,
-            "group_remainders": list(self.group_remainders),
-            "stage1_remainder": self.stage1_remainder,
-            "stage2_remainder": self.stage2_remainder,
-            "merged_count": self.merged_count,
-            "coalition_size_histogram": {str(k): v for k, v in
-                                         sorted(self.coalition_size_histogram.items())},
-        }
+        return {**asdict(self),
+                "group_remainders": list(self.group_remainders),
+                "coalition_size_histogram": {str(k): v for k, v in
+                                             sorted(self.coalition_size_histogram.items())}}
 
 
 @dataclass
@@ -665,7 +630,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     s = config.clique_size(n)
     tau = config.edge_threshold
 
-    groups = GroupAssignment.round_robin(n, g).groups
+    groups = tuple(tuple(range(j, n, g)) for j in range(g))  # round robin, sizes within one
     ledger = RevelationLedger(n)  # the groups are disjoint, so they share one ledger
 
     stage1_out = [greedy_cliques(game, groups[j], s, tau, ledger) for j in range(g)]
@@ -678,11 +643,11 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         all(len(block) == s for block in cliques[j].coalitions) and len(rem1[j]) <= cap1
         for j in range(g))
 
-    cluster = _greedy_cluster_detailed(game, list(cliques), config, ledger)
-    merged = cluster.partition
-    rem2 = tuple(sorted(cluster.remainder))
+    merged, remainder2, composition, attempts = _greedy_cluster_detailed(
+        game, list(cliques), config, ledger)
+    rem2 = tuple(sorted(remainder2))
 
-    all_remainder = sorted(set().union(*map(set, rem1), cluster.remainder))
+    all_remainder = sorted(set().union(*map(set, rem1), remainder2))
     balanced = all(len(block) == g * s for block in merged.coalitions)
     stage2_success = (stage1_success and balanced
                       and len(all_remainder) <= config.stage2_cap(n))
@@ -717,9 +682,9 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         clique_partitions=cliques,
         group_remainders=rem1,
         merged=merged,
-        merged_composition=cluster.composition,
+        merged_composition=composition,
         stage2_remainder=rem2,
-        attempts=cluster.attempts,
+        attempts=attempts,
         placements=tuple(placements),
     )
 

@@ -175,8 +175,13 @@ class Campaign:
         if self.kind is not CampaignKind.LEMMA_VERIFY:
             if not self.n_values:
                 raise ValueError("n_values must be nonempty")
-            if list(self.n_values) != sorted(self.n_values):
-                raise ValueError("n_values must be ascending")
+            if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
+                raise ValueError("n_values must be strictly ascending")
+        # A repeated value would export duplicate or conflicting rows.
+        for name in ("concepts", "shape_ks", "m_values", "k_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

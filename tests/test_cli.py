@@ -166,6 +166,22 @@ class TestMc:
     def test_missing_n_is_input_error(self, capsys):
         assert main(["mc", "--kind", "mc-grand", "--trials", "5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "bounds-compare", "--n", "6", "--shape-k", "2,2"),
+        ("--kind", "oracle-existence", "--n", "5", "--concepts", "nash,ns"),
+        ("--kind", "mc-alg", "--n", "50,50"),
+    ])
+    def test_repeated_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr("hedonic_lab.cli.run_campaign", refuse)
+        out = tmp_path / "res.csv"
+        assert main(["mc", *argv, "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "repeat" in err or "strictly ascending" in err
+        assert not out.exists()
+
 
 DATA = Path(__file__).parent / "data"
 

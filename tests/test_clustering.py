@@ -488,6 +488,14 @@ class TestCompletePartition:
         with pytest.raises(Exception):
             complete_partition(g, merged, {1, 2, 3})
 
+    def test_rejects_merged_ids_outside_the_game(self):
+        # Carrier {5, 6} plus remainder {0, 1, 2} covers five agents, but
+        # ids 5 and 6 do not exist in a five-agent game.
+        g = game_from({}, 5, default=0.5)
+        merged = PartialPartition(8, [(5, 6)])
+        with pytest.raises(InvalidAgentError):
+            complete_partition(g, merged, {0, 1, 2})
+
 
 class TestRunThreeStage:
     def test_everything_friendly(self):
@@ -500,8 +508,9 @@ class TestRunThreeStage:
         assert report.coalition_size_histogram == {8: 3}
 
     def test_everything_hostile_gives_singletons(self):
-        # Paper-default remainder caps are vacuous at tiny n, so the formal
-        # stage-1/2 flags hold degenerately there; a strict cap flips them.
+        # The remainder caps are vacuous at tiny n, so the formal stage-1/2
+        # flags hold degenerately there.  From n = 257 a hostile group's whole
+        # remainder n/4 exceeds the stage-1 cap n/log16(n)^2, and both flip.
         cfg = AlgoConfig(num_groups=4, clique_size_rule=lambda n: 2)
         g = game_from({}, 24, default=-0.8)
         partition, report, _ = run_three_stage(g, cfg)
@@ -509,10 +518,8 @@ class TestRunThreeStage:
         assert report.merged_count == 0
         assert not report.stage3_success
 
-        strict = AlgoConfig(num_groups=4, clique_size_rule=lambda n: 2,
-                            stage1_remainder_cap=lambda n: 0.0,
-                            stage2_remainder_cap=lambda n: 0.0)
-        _, report2, _ = run_three_stage(g, strict)
+        _, report2, _ = run_three_stage(game_from({}, 300, default=-0.8), cfg)
+        assert report2.group_remainders == (75, 75, 75, 75)
         assert not report2.stage1_success
         assert not report2.stage2_success
 
@@ -521,7 +528,12 @@ class TestRunThreeStage:
         for seed in range(8):
             n = 40 + 17 * seed
             g = sample_game(n, D, SeedSpec(2400 + seed))
-            partition, report, _ = run_three_stage(g, cfg)
+            det = run_three_stage_detailed(g, cfg)
+            partition, report = det.partition, det.report
+            # Round-robin groups, sizes within one of each other.
+            assert det.groups == tuple(tuple(range(j, n, 4)) for j in range(4))
+            sizes = [len(group) for group in det.groups]
+            assert max(sizes) - min(sizes) <= 1
             Partition(n, partition.coalitions)  # revalidate structure
             assert sum(report.coalition_size_histogram.values()) == len(partition)
             assert sum(s * c for s, c in report.coalition_size_histogram.items()) == n
@@ -608,19 +620,6 @@ def test_run_three_stage_always_valid_partition(g_count, n, data):
     assert partition.n == n
     Partition(n, partition.coalitions)
     assert sum(len(c) for c in partition.coalitions) == n
-
-
-class TestGroupAssignment:
-    def test_round_robin_balance(self):
-        from hedonic_lab.clustering import GroupAssignment
-        ga = GroupAssignment.round_robin(22, 4)
-        sizes = [len(g) for g in ga.groups]
-        assert sorted(sizes) == [5, 5, 6, 6]
-
-    def test_rejects_imbalance(self):
-        from hedonic_lab.clustering import GroupAssignment
-        with pytest.raises(ValueError):
-            GroupAssignment(2, ((0, 1, 2), (3,)))
 
 
 BELOW, AT_LEAST, RAW = ValueClass.BELOW_TAU, ValueClass.AT_LEAST_TAU, ValueClass.RAW

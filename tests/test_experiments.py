@@ -135,6 +135,20 @@ class TestCampaignValidation:
         with pytest.raises(ValueError):
             Campaign(kind=CampaignKind.MC_GRAND, n_values=(10, 5), trials=5,
                      dist=D, master_seed=SeedSpec(0))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Campaign(kind=CampaignKind.MC_ALG, n_values=(50, 50), trials=5,
+                     dist=D, master_seed=SeedSpec(0))
+
+    @pytest.mark.parametrize("kind,field,values", [
+        (CampaignKind.ORACLE_EXISTENCE, "concepts", (Concept.NASH, Concept.NASH)),
+        (CampaignKind.BOUNDS_COMPARE, "shape_ks", (2, 3, 2)),
+        (CampaignKind.LEMMA_VERIFY, "m_values", (1, 1)),
+        (CampaignKind.LEMMA_VERIFY, "k_values", (5, 2, 5)),
+    ])
+    def test_repeated_values_rejected(self, kind, field, values):
+        with pytest.raises(ValueError, match=field):
+            Campaign(kind=kind, n_values=(6,), trials=5, dist=D, master_seed=SeedSpec(0),
+                     **{field: values})
 
 
 class TestGrandStudy:
