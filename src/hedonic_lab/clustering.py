@@ -11,8 +11,10 @@ All scanning orders are fixed (ascending agent id, clique creation order), so
 identical inputs give identical outputs, ledgers included.  Stages 1 and 2
 read single entries through a memoryview of the utility table; stage 2 adds
 its sums in NumPy's pairwise order, so each equals the NumPy row sum of the
-same entries bit for bit.  Each stage writes what it examined to the ledger
-once, at its end, from the trace it keeps anyway.
+same entries bit for bit.  Each public stage function writes what it
+examined to a ledger it is given once, at its end, from the trace it keeps
+anyway; ``run_three_stage`` keeps those traces and builds its ledger from them
+only when the ledger is first read.
 """
 from __future__ import annotations
 
@@ -169,13 +171,43 @@ class RevelationLedger:
     from the trace it keeps, and only into pairs still at 0, so the first
     writer wins.  ``entries()`` yields in row-major key order, and ``==``
     compares the codes.
+
+    A ledger made with ``RevelationLedger(n)`` holds its matrix from the
+    start.  The ledger of ``run_three_stage`` instead holds the three stages'
+    traces and builds the matrix on the first access to ``_codes``, which
+    every method makes, writing the traces in stage order; a run whose ledger
+    is never read never builds it.  Its stage-1 trace holds the observed
+    classes, not table positions, so the ledger stays the same after the
+    table is overwritten.
     """
 
-    __slots__ = ("n", "_codes")
+    __slots__ = ("n", "_matrix", "_trace")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._codes = np.zeros((n, n), dtype=np.int8)
+        self._matrix: np.ndarray | None = np.zeros((n, n), dtype=np.int8)
+        self._trace: tuple | None = None  # a deferred ledger's stage traces, see ``_codes``
+
+    @classmethod
+    def _deferred(cls, n: int, stage1: tuple[np.ndarray, np.ndarray],
+                  stage2: tuple[list, list], stage3: tuple | None) -> "RevelationLedger":
+        """A ledger built on first read from stage 1's (keys, codes) and the
+        arguments of ``_write_stage2`` and ``_write_stage3``."""
+        ledger = cls.__new__(cls)
+        ledger.n, ledger._matrix, ledger._trace = n, None, (stage1, stage2, stage3)
+        return ledger
+
+    @property
+    def _codes(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.zeros((self.n, self.n), dtype=np.int8)
+            stage1, (sources, targets), stage3 = self._trace
+            self._trace = None
+            self._write(*stage1)
+            _write_stage2(self, sources, targets)
+            if stage3 is not None:
+                _write_stage3(self, *stage3)
+        return self._matrix
 
     def _agents(self, agents: Iterable[int]) -> np.ndarray:
         """Agent ids as an index array, each checked to lie in 0..n-1."""
@@ -189,8 +221,9 @@ class RevelationLedger:
             raise InvalidAgentError(f"agent id {bad} outside 0..{self.n - 1}")
         return arr
 
-    def _write(self, keys: np.ndarray, code: int) -> None:
-        """Write ``code`` at each flat key ``src * n + dst`` (of valid ids) still at 0."""
+    def _write(self, keys: np.ndarray, code: int | np.ndarray) -> None:
+        """Write ``code`` (one, or one per key) at each flat key ``src * n + dst``
+        (of valid ids) still at 0."""
         flat = self._codes.reshape(-1)
         cur = flat[keys]
         flat[keys] = np.where(cur == 0, code, cur)
@@ -273,22 +306,26 @@ def _check_ledger(game: HedonicGame, ledger: RevelationLedger | None) -> None:
         raise ValueError(f"ledger covers {ledger.n} agents, the game {game.n}")
 
 
-def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
-                   steps: list[tuple[tuple[int, ...], list[int]]]) -> None:
-    """Write the stage-1 checks of every (members, scanned candidates) growth step.
+def _stage1_codes(n: int, U: np.ndarray, tau: float,
+                  steps: list[tuple[tuple[int, ...], list[int]]]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat keys and codes of the stage-1 checks of every (members, scanned candidates) step.
 
-    Each candidate w is checked member by member, u_w(z) then u_z(w), up to
-    and including the first value below ``tau``.  No ordered pair occurs
-    twice: a candidate is scanned once per clique and members leave the scan.
+    Each code is ``_BELOW`` or ``_AT_LEAST``, as the entry was observed
+    against ``tau``.  Each candidate w is checked member by member, u_w(z)
+    then u_z(w), up to and including the first value below ``tau``.  No
+    ordered pair occurs twice: a candidate is scanned once per clique and
+    members leave the scan.
     """
-    n = ledger.n
     by_size: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for members, scanned in steps:
         by_size.setdefault(len(members), []).append((members, scanned))
+    keys, codes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int8)]
     for m, group in by_size.items():
-        w = np.concatenate([scanned for _, scanned in group])[:, None]
-        z = np.repeat(np.array([members for members, _ in group], dtype=np.intp),
-                      [len(scanned) for _, scanned in group], axis=0)
+        counts = np.fromiter((len(scanned) for _, scanned in group), dtype=np.intp,
+                             count=len(group))
+        w = np.fromiter(chain.from_iterable(scanned for _, scanned in group), dtype=np.intp,
+                        count=int(counts.sum()))[:, None]
+        z = np.repeat(np.array([members for members, _ in group], dtype=np.intp), counts, axis=0)
         # Column 2i is the check u_w(z_i), column 2i+1 the check u_{z_i}(w).
         src = np.empty((len(w), 2 * m), dtype=np.intp)
         dst = np.empty_like(src)
@@ -296,32 +333,37 @@ def _record_stage1(ledger: RevelationLedger, U: np.ndarray, tau: float,
         src[:, 1::2], dst[:, 1::2] = z, w
         ok = U[src, dst] >= tau
         first_below = np.where(ok.all(axis=1), 2 * m, ok.argmin(axis=1))
-        seen = np.arange(2 * m) <= first_below[:, None]
-        keys = src[seen] * n + dst[seen]
-        at_least = ok[seen]
-        ledger._write(keys[~at_least], _BELOW)
-        ledger._write(keys[at_least], _AT_LEAST)
+        seen = np.flatnonzero(np.arange(2 * m) <= first_below[:, None])
+        keys.append((src * n + dst).reshape(-1)[seen])
+        codes.append(np.where(ok.reshape(-1)[seen], np.int8(_AT_LEAST), np.int8(_BELOW)))
+    return np.concatenate(keys), np.concatenate(codes)
 
 
-def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
-                   ledger: RevelationLedger | None = None
-                   ) -> tuple[PartialPartition, set[int]]:
-    """Greedily partition ``carrier`` into mutual-threshold cliques of exactly ``size``.
+def _write_stage2(ledger: RevelationLedger, sources: Sequence[Sequence[int]],
+                  targets: Sequence[Sequence[int]]) -> None:
+    """Write the raw blocks sources[i] x targets[i] that stage 2 revealed."""
+    ledger._write(_cross_keys(sources, targets, ledger.n), _STAGE2)
 
-    Seeds are taken in ascending id order and grown by a single ascending scan
-    of the remaining agents; a candidate joins only if both directed utilities
-    against every current member reach ``threshold``.  The first seed whose
-    clique cannot reach ``size`` stops the whole procedure, returning the
-    partial partition built so far and the untouched remainder.
 
-    Candidates are tested one at a time through a memoryview of the table,
-    member by member, u_w(z) then u_z(w), stopping at the first value below
-    ``threshold``; a seed's scan stops at its first hit.  Blocks hold Python
-    ``int``s.
+def _write_stage3(ledger: RevelationLedger, rem: np.ndarray, order: np.ndarray,
+                  sizes: np.ndarray, examined: np.ndarray) -> None:
+    """Write stage 3's raw observations of remainder agent ``rem[i]`` against every
+    member of each coalition ``examined[i]`` marks (``order`` in blocks of ``sizes``).
+
+    Like ``_write``, only into pairs still at 0; the (rem x order) code block
+    is read and written back whole, which is cheaper here than flat keys.
     """
+    codes = ledger._codes
+    block = codes[rem][:, order]  # block[i, j]: codes[rem[i], order[j]]
+    block[np.repeat(examined, sizes, axis=1) & (block == 0)] = _STAGE3
+    codes[rem[:, None], order] = block
+
+
+def _greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float
+                    ) -> tuple[PartialPartition, set[int], list[tuple[tuple[int, ...], list[int]]]]:
+    """``greedy_cliques`` without a ledger; also returns its (members, scanned) growth steps."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    _check_ledger(game, ledger)
     U = game.utilities
     R = np.array(sorted(set(carrier)), dtype=np.intp).tolist()
     if R and (R[0] < 0 or R[-1] >= game.n):
@@ -358,9 +400,30 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
         blocks.append(tuple(C))
         for pos in reversed(taken):
             del R[pos]
+    return PartialPartition(game.n, blocks, _trusted=True), remainder, steps
+
+
+def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
+                   ledger: RevelationLedger | None = None
+                   ) -> tuple[PartialPartition, set[int]]:
+    """Greedily partition ``carrier`` into mutual-threshold cliques of exactly ``size``.
+
+    Seeds are taken in ascending id order and grown by a single ascending scan
+    of the remaining agents; a candidate joins only if both directed utilities
+    against every current member reach ``threshold``.  The first seed whose
+    clique cannot reach ``size`` stops the whole procedure, returning the
+    partial partition built so far and the untouched remainder.
+
+    Candidates are tested one at a time through a memoryview of the table,
+    member by member, u_w(z) then u_z(w), stopping at the first value below
+    ``threshold``; a seed's scan stops at its first hit.  Blocks hold Python
+    ``int``s.
+    """
+    _check_ledger(game, ledger)
+    cliques, remainder, steps = _greedy_cliques(game, carrier, size, threshold)
     if ledger is not None:
-        _record_stage1(ledger, U, threshold, steps)
-    return PartialPartition(game.n, blocks, _trusted=True), remainder
+        ledger._write(*_stage1_codes(game.n, game.utilities, threshold, steps))
+    return cliques, remainder
 
 
 def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[int],
@@ -395,8 +458,7 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     ok, _units, n_eval, n_eval2 = _admit(memoryview(game.utilities), cand, merged_list, k,
                                          thr_cand, thr_merged)
     if ledger is not None:
-        ledger._write(_cross_keys([merged_list[:n_eval], cand[:n_eval2]], [cand, merged_list], n),
-                      _STAGE2)
+        _write_stage2(ledger, [merged_list[:n_eval], cand[:n_eval2]], [cand, merged_list])
     return ok
 
 
@@ -464,13 +526,18 @@ class AttemptRecord(NamedTuple):
 
 
 def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartition],
-                             config: AlgoConfig, ledger: RevelationLedger | None
+                             config: AlgoConfig
                              ) -> tuple[PartialPartition, set[int],
                                         tuple[tuple[tuple[int, ...], ...], ...],
-                                        tuple[AttemptRecord, ...]]:
-    """``greedy_cluster`` that also returns each merged coalition's cliques and every attempt.
+                                        tuple[AttemptRecord, ...],
+                                        list[Sequence[int]], list[Sequence[int]]]:
+    """``greedy_cluster`` without a ledger, returning what its views are derived from.
 
-    Returns (merged, remainder, composition, attempts).
+    Returns (merged, remainder, composition, attempts, sources, targets):
+    each merged coalition's cliques, every attempt, and the raw blocks
+    sources[i] x targets[i] the attempts revealed.  Attempt j revealed
+    sources[2j] x targets[2j] = merged[:n_eval] x cand and
+    sources[2j+1] x targets[2j+1] = cand[:n_eval2] x merged.
     """
     g = len(partitions)
     if g < 2:
@@ -484,7 +551,6 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     n = game.n
     if max((max(c) for c in carriers if c), default=-1) >= n:
         raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
-    _check_ledger(game, ledger)
     entry = memoryview(game.utilities)
     s = config.clique_size(n)
     thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
@@ -492,7 +558,6 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     # Blocks are sorted (``greedy_cliques`` builds them ascending, ``PartialPartition``
     # sorts a caller's), so ``_admit`` reads them as they are.
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
-    # The blocks sources[i] x targets[i] every attempt revealed, written at the end.
     sources: list[Sequence[int]] = []
     targets: list[Sequence[int]] = []
     merged_blocks: list[tuple[int, ...]] = []
@@ -500,14 +565,12 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     attempts: list[AttemptRecord] = []
 
     def finish():
-        if ledger is not None:
-            ledger._write(_cross_keys(sources, targets, n), _STAGE2)
         leftovers: set[int] = set()
         for group in avail:
             for block in group:
                 leftovers.update(block)
         return (PartialPartition(n, merged_blocks, _trusted=True), leftovers,
-                tuple(composition), tuple(attempts))
+                tuple(composition), tuple(attempts), sources, targets)
 
     while avail[0]:
         chosen_idx: list[int] = [0] * g
@@ -518,9 +581,8 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
             for idx, cand in enumerate(avail[kk]):
                 ok, units, n_eval, n_eval2 = _admit(entry, cand, merged_list, kk + 1,
                                                     thr_cand, thr_merged)
-                if ledger is not None:
-                    sources += (merged_list[:n_eval], cand[:n_eval2])
-                    targets += (cand, merged_list)
+                sources += (merged_list[:n_eval], cand[:n_eval2])
+                targets += (cand, merged_list)
                 attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx, ok, units))
                 if ok:
                     found = idx
@@ -530,8 +592,27 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
             chosen_idx[kk] = found
             merged_list = sorted((*merged_list, *avail[kk][found]))
         composition.append(tuple(avail[kk].pop(chosen_idx[kk]) for kk in range(g)))
-        merged_blocks.append(tuple(map(int, merged_list)))  # callers' blocks may hold NumPy ints
+        merged_blocks.append(tuple(merged_list))
     return finish()
+
+
+def _stage2_links(attempts: Sequence[AttemptRecord], sources: Sequence[Sequence[int]],
+                  targets: Sequence[Sequence[int]], rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(agent, coalition) pairs that a stage-2 entry links, for the first ``rounds`` rounds.
+
+    A round's union lies inside its merged coalition once the round completes.
+    An attempt with ``n_eval > 0`` read u_m(b) for a union member m and every
+    candidate agent b, linking its whole clique; one with an empty union read
+    nothing.  Joined candidates are listed too; callers look up only remainder
+    agents.  Stage 2 pairs different groups, so no stage-1 code shadows a link.
+    """
+    agents: list[int] = []
+    coalitions: list[int] = []
+    for attempt, union_part, cand in zip(attempts, sources[0::2], targets[0::2]):
+        if attempt.round_index < rounds and union_part:
+            agents += cand
+            coalitions += [attempt.round_index] * len(cand)
+    return np.array(agents, dtype=np.intp), np.array(coalitions, dtype=np.intp)
 
 
 def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
@@ -548,9 +629,15 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
 
     Compatibility is ``is_compatible``'s test, through the same scalar
     function: entries read one at a time, sums in NumPy's pairwise order.
-    Overlapping partial partitions raise ``PartitionError``.
+    Overlapping partial partitions raise ``PartitionError``.  With a ledger,
+    every revealed entry is written to it at the end.
     """
-    return _greedy_cluster_detailed(game, partitions, config, ledger)[:2]
+    _check_ledger(game, ledger)
+    merged, remainder, _composition, _attempts, sources, targets = _greedy_cluster_detailed(
+        game, partitions, config)
+    if ledger is not None:
+        _write_stage2(ledger, sources, targets)
+    return merged, remainder
 
 
 def complete_partition(game: HedonicGame, merged: PartialPartition,
@@ -581,7 +668,10 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     if len(carrier) + len(rem) != game.n:
         raise PartitionError("merged carrier plus remainder must cover all agents")
     _check_ledger(game, ledger)
-    return _complete_with_trace(game, merged, rem, ledger, [])
+    partition, success, stage3 = _complete_with_trace(game, merged, rem, [], ledger=ledger)
+    if ledger is not None and stage3 is not None:
+        _write_stage3(ledger, *stage3)
+    return partition, success
 
 
 @dataclass(frozen=True)
@@ -609,7 +699,10 @@ class StageReport:
 
 @dataclass
 class ThreeStageResult:
-    """Full trace of one run, for structural verification."""
+    """Full trace of one run, for structural verification.
+
+    ``ledger`` builds its code matrix on first read (see ``RevelationLedger``).
+    """
 
     partition: Partition
     report: StageReport
@@ -631,9 +724,12 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     tau = config.edge_threshold
 
     groups = tuple(tuple(range(j, n, g)) for j in range(g))  # round robin, sizes within one
-    ledger = RevelationLedger(n)  # the groups are disjoint, so they share one ledger
-
-    stage1_out = [greedy_cliques(game, groups[j], s, tau, ledger) for j in range(g)]
+    stage1_out = [_greedy_cliques(game, groups[j], s, tau) for j in range(g)]
+    # The observed classes read the table, so they are taken now: the ledger
+    # built from them later does not depend on the table still holding this game.
+    # The groups are disjoint, so their steps share one set of keys.
+    stage1_codes = _stage1_codes(n, game.utilities, tau,
+                                 [step for out in stage1_out for step in out[2]])
 
     cliques = tuple(out[0] for out in stage1_out)
     rem1 = tuple(tuple(sorted(out[1])) for out in stage1_out)
@@ -643,8 +739,8 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         all(len(block) == s for block in cliques[j].coalitions) and len(rem1[j]) <= cap1
         for j in range(g))
 
-    merged, remainder2, composition, attempts = _greedy_cluster_detailed(
-        game, list(cliques), config, ledger)
+    merged, remainder2, composition, attempts, sources, targets = _greedy_cluster_detailed(
+        game, list(cliques), config)
     rem2 = tuple(sorted(remainder2))
 
     all_remainder = sorted(set().union(*map(set, rem1), remainder2))
@@ -654,8 +750,9 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
 
     # Stage 3, run once: place the remainder and record each agent's placement.
     placements: list[tuple[int, int | None, bool]] = []
-    partition, stage3_success = _complete_with_trace(game, merged, all_remainder,
-                                                     ledger, placements)
+    partition, stage3_success, stage3 = _complete_with_trace(
+        game, merged, all_remainder, placements,
+        links=_stage2_links(attempts, sources, targets, len(merged)))
 
     histogram: dict[int, int] = {}
     for block in partition.coalitions:
@@ -677,7 +774,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     return ThreeStageResult(
         partition=partition,
         report=report,
-        ledger=ledger,
+        ledger=RevelationLedger._deferred(n, stage1_codes, (sources, targets), stage3),
         groups=groups,
         clique_partitions=cliques,
         group_remainders=rem1,
@@ -689,16 +786,23 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     )
 
 
-def _complete_with_trace(game, merged, remainder, ledger, placements_out):
-    """complete_partition with a per-agent placement trace appended to ``placements_out``."""
+def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None, links=None):
+    """complete_partition with a per-agent placement trace appended to ``placements_out``.
+
+    The stage-2 links come from ``ledger``'s codes, or from ``links``, the
+    (agent, coalition index) arrays of ``_stage2_links``; with neither, every
+    coalition is open to every agent.  Returns (partition, success, stage3),
+    where stage3 is ``_write_stage3``'s arguments after ``ledger``, or None
+    when there was nothing to examine.
+    """
     n = game.n
     rem = sorted(set(remainder))
     if len(merged) == 0:
         for a in rem:
             placements_out.append((a, None, False))
-        return Partition.singletons(n), False
+        return Partition.singletons(n), False, None
     if not rem:
-        return Partition(n, merged.coalitions, _trusted=True), True
+        return Partition(n, merged.coalitions, _trusted=True), True, None
 
     blocks = list(merged.coalitions)
     nb = len(blocks)
@@ -716,14 +820,17 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
     alive = np.ones(nb, dtype=bool)
     open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition
     if ledger is not None:
-        # Stage 3 writes its codes into the matrix, through ``rem_codes``,
-        # after the loop.  It writes only stage-3 codes, so the links read
-        # here hold throughout the loop.
         codes = ledger._codes
-        rem_codes = codes[rem_arr][:, order]  # codes[a, m]: remainder agent a, merged member m
-        links = ((rem_codes == _STAGE2)
-                 | (codes.take(rem_arr, axis=1).take(order, axis=0).T == _STAGE2))
-        open_to = ~np.logical_or.reduceat(links, starts, axis=1)
+        linked = ((codes[rem_arr][:, order] == _STAGE2)  # codes[a, m]: remainder a, member m
+                  | (codes.take(rem_arr, axis=1).take(order, axis=0).T == _STAGE2))
+        open_to = ~np.logical_or.reduceat(linked, starts, axis=1)
+    elif links is not None:
+        agents, coalitions = links
+        row_of = np.full(n, -1, dtype=np.intp)
+        row_of[rem_arr] = np.arange(len(rem))
+        rows = row_of[agents]
+        hit = rows >= 0
+        open_to[rows[hit], coalitions[hit]] = False
     examined = np.zeros_like(open_to)
     additions: dict[int, int] = {}
     singles: list[int] = []
@@ -750,10 +857,6 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
         placements_out.append((a, best, satisfied))
         additions[best] = a
         alive[best] = False
-    if ledger is not None:
-        # Each pair is written at most once, and only where no earlier stage wrote.
-        rem_codes[np.repeat(examined, sizes, axis=1) & (rem_codes == 0)] = _STAGE3
-        codes[rem_arr[:, None], order] = rem_codes
 
     final_blocks: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):
@@ -762,11 +865,15 @@ def _complete_with_trace(game, merged, remainder, ledger, placements_out):
         else:
             final_blocks.append(block)
     final_blocks.extend((a,) for a in singles)
-    return Partition(n, final_blocks, _trusted=True), success
+    return Partition(n, final_blocks, _trusted=True), success, (rem_arr, order, sizes, examined)
 
 
 def run_three_stage(game: HedonicGame, config: AlgoConfig
                     ) -> tuple[Partition, StageReport, RevelationLedger]:
-    """Run all three stages; always returns a valid partition of every agent."""
+    """Run all three stages; always returns a valid partition of every agent.
+
+    The ledger builds its code matrix on first read, without the game's
+    table, so a caller may discard it or refill the table first.
+    """
     res = run_three_stage_detailed(game, config)
     return res.partition, res.report, res.ledger

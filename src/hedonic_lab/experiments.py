@@ -16,6 +16,7 @@ import enum
 import itertools
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -214,6 +215,10 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
     config = campaign.config or AlgoConfig()
     rows: list[ResultRow] = []
     summaries: list[TrialSummary] = []
+    # One utility table per worker thread, refilled by each of its trials: a
+    # trial reads its game only until it returns, and the ledger that
+    # run_three_stage returns does not read the table.
+    tables = threading.local()
 
     for n_idx, n in enumerate(campaign.n_values):
         base = n_idx * TRIAL_BLOCK
@@ -221,7 +226,10 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
         def one_trial(t: int, n=n, base=base) -> TrialSummary:
             t0 = time.perf_counter()
             seed = derive_trial_seed(campaign.master_seed, base + t)
-            game = sample_game(n, campaign.dist, seed)
+            if getattr(tables, "n", None) != n:
+                tables.buf = None  # the last n's table is freed before this one is made
+                tables.buf, tables.n = np.empty((n, n)), n
+            game = sample_game(n, campaign.dist, seed, out=tables.buf)
             partition, report, _ledger = run_three_stage(game, config)
             prof = concept_profile(game, partition)
             combo = (prof[Concept.INDIVIDUALLY_RATIONAL]

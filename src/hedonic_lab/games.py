@@ -8,6 +8,7 @@ its occupant.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -120,7 +121,8 @@ class HedonicGame:
 
 
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(block)) for block in blocks)
+    """Each block sorted, its ids as Python ``int``s (NumPy integers included)."""
+    return tuple(tuple(sorted(map(operator.index, block))) for block in blocks)
 
 
 class _Blocks:

@@ -6,6 +6,7 @@ master so trials can run in any order or in parallel with identical results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,10 @@ from .games import HedonicGame
 __all__ = ["UtilityDistribution", "SeedSpec", "sample_game", "derive_trial_seed"]
 
 _UINT64 = (1 << 64) - 1
+
+# Draws per chunk of ``UtilityDistribution.sample`` (128 KB of float64): a
+# chunk is scaled and range-checked while it is still in cache.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,9 @@ class UtilityDistribution:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
+        if not math.isfinite(self.hi - self.lo):
+            # hi - lo scales every draw; an infinite width makes no finite draw.
+            raise ValueError(f"need a finite width hi - lo, got ({self.lo}, {self.hi})")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "UtilityDistribution":
@@ -55,24 +63,36 @@ class UtilityDistribution:
 
     def sample(self, rng: np.random.Generator, shape,
                out: np.ndarray | None = None) -> np.ndarray:
-        # Half-open scaling of the generator's uniform; endpoints have
-        # probability ~2^-53 and are resampled to keep the support open.
+        """Draws of ``shape`` into a fresh array, or into the C-contiguous ``out``.
+
+        The table is filled in chunks of its flat view: each chunk takes its
+        generator doubles, is scaled to ``lo + (hi - lo) * u`` and checked
+        against the open support while it is still in cache.  The stream is
+        consumed in C order, so the draws equal ``rng.uniform(lo, hi, shape)``
+        bit for bit.  Endpoints have probability ~2^-53; when one occurs, every
+        entry on an endpoint is then redrawn over the whole table, in C order,
+        until none is left.
+        """
+        lo, hi = self.lo, self.hi
         if out is None:
-            vals = rng.uniform(self.lo, self.hi, shape)
-        else:
-            if out.shape != tuple(np.atleast_1d(shape)) and out.shape != shape:
-                raise ValueError("out buffer shape mismatch")
-            rng.random(out=out.reshape(-1))
-            out *= self.hi - self.lo
-            out += self.lo
-            vals = out
-        if vals.size and (vals.min() <= self.lo or vals.max() >= self.hi):
-            bad = (vals <= self.lo) | (vals >= self.hi)
+            out = np.empty(shape)
+        elif out.shape != tuple(np.atleast_1d(shape)) and out.shape != shape:
+            raise ValueError("out buffer shape mismatch")
+        flat = out.reshape(-1)
+        on_endpoint = False
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start:start + _CHUNK]
+            rng.random(out=chunk)
+            chunk *= hi - lo
+            chunk += lo
+            on_endpoint = on_endpoint or chunk.min() <= lo or chunk.max() >= hi
+        if on_endpoint:
+            bad = (out <= lo) | (out >= hi)
             while bad.any():
                 k = int(bad.sum())
-                vals[bad] = self.lo + (self.hi - self.lo) * rng.random(k)
-                bad = (vals <= self.lo) | (vals >= self.hi)
-        return vals
+                out[bad] = lo + (hi - lo) * rng.random(k)
+                bad = (out <= lo) | (out >= hi)
+        return out
 
     def spec_string(self) -> str:
         return f"uniform:{self.lo:g}:{self.hi:g}"

@@ -37,6 +37,13 @@ class TestSample:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_infinite_width_dist_is_input_error(self, tmp_path, capsys):
+        # Fresh sampling raised OverflowError on this range.
+        code = main(["sample", "--n", "3", "--dist", "uniform:-1e308:1e308",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "finite width" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_reports_witness(self, chase_path, tmp_path, capsys):
@@ -121,6 +128,13 @@ class TestMc:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("n,property,")
         assert any("grand-exit-denied" in line for line in lines)
+
+    def test_infinite_width_dist_is_input_error(self, tmp_path, capsys):
+        # mc-alg samples into a reused buffer, where this range redrew forever.
+        code = main(["mc", "--kind", "mc-alg", "--n", "3", "--trials", "1",
+                     "--dist", "uniform:-1e308:1e308", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "finite width" in capsys.readouterr().err
 
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"

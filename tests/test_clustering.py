@@ -880,3 +880,51 @@ def test_run_three_stage_memory_with_tiled_stage3(compat):
         tracemalloc.stop()
     assert len(ledger) > 0
     assert peak < 3.25 * n * n, f"{peak / n**2:.2f} n^2 bytes"
+
+
+def composed_stages(game, cfg):
+    """The public stages run one after another into one eager ledger, as ``run_three_stage`` runs them."""
+    n, g = game.n, cfg.num_groups
+    ledger = RevelationLedger(n)
+    stage1 = [greedy_cliques(game, range(j, n, g), cfg.clique_size(n), cfg.edge_threshold, ledger)
+              for j in range(g)]
+    merged, rem2 = greedy_cluster(game, [cliques for cliques, _ in stage1], cfg, ledger)
+    remainder = set(rem2).union(*(rem for _, rem in stage1))
+    partition, _ok = complete_partition(game, merged, remainder, ledger)
+    return partition, ledger
+
+
+@pytest.mark.parametrize("compat", [2.0, 0.25])
+def test_deferred_ledger_survives_refilling_the_table(compat):
+    # run_three_stage builds its ledger on first read; the next sample_game
+    # into the same buffer must not reach it.
+    n = 400
+    cfg = AlgoConfig(num_groups=4, edge_threshold=0.5, compat_constant=compat,
+                     clique_size_rule=lambda m: 2)
+    buf = np.empty((n, n))
+    game = sample_game(n, D, SeedSpec(41), out=buf)
+    partition, _report, ledger = run_three_stage(game, cfg)
+    want_partition, want_ledger = composed_stages(game, cfg)
+    assert ledger._matrix is None  # not built yet
+    next_game = sample_game(n, D, SeedSpec(42), out=buf)
+    assert composed_stages(next_game, cfg)[1] != want_ledger  # the refill moves an eager ledger
+    assert partition == want_partition
+    assert ledger == want_ledger
+    assert ledger.count_by_stage()[3] > 0
+
+
+def test_run_three_stage_unread_ledger_memory_at_n2000():
+    # The unread ledger builds no n x n code matrix, which alone is n^2 bytes;
+    # the run peaked at 0.83 n^2 on this game (the stage-3 gathers and sums).
+    n = 2000
+    cfg = AlgoConfig(num_groups=4, edge_threshold=0.5, compat_constant=0.25,
+                     clique_size_rule=lambda m: 2)
+    game = sample_game(n, D, SeedSpec(2))
+    tracemalloc.start()
+    try:
+        _partition, report, _ledger = run_three_stage(game, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.merged_count > 0 and report.stage2_remainder > 0
+    assert peak < n * n, f"{peak / n**2:.2f} n^2 bytes"

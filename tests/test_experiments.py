@@ -37,7 +37,8 @@ from hedonic_lab.oracle import (
     stirling2,
 )
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
-from hedonic_lab.stability import IMPLICATIONS, Concept, agent_verdicts, check, implied_concepts
+from hedonic_lab.stability import (IMPLICATIONS, Concept, agent_verdicts, check, concept_profile,
+                                   implied_concepts)
 
 D = UtilityDistribution(-1, 1)
 
@@ -474,6 +475,22 @@ class TestMcAlg:
         r4 = run_mc_alg(self.campaign(workers=4))
         assert r1.rows == r4.rows
         assert r1.summaries == r4.summaries
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reused_tables_give_each_trial_its_own_game(self, workers):
+        # Trials refill one table per worker thread and n; each must still
+        # see the fresh game of its own seed.
+        result = run_mc_alg(self.campaign(n_values=(20, 40), trials=9, workers=workers))
+        assert len(result.summaries) == 18
+        for s in result.summaries:
+            n_idx = (20, 40).index(s.n)
+            seed = derive_trial_seed(SeedSpec(99), n_idx * experiments_mod.TRIAL_BLOCK + s.trial)
+            game = sample_game(s.n, D, seed)
+            partition, report, _ledger = clustering_mod.run_three_stage(game, self.CFG)
+            outcomes = dict(s.outcomes)
+            assert {c: outcomes[c.value] for c in Concept} == concept_profile(game, partition)
+            assert outcomes["stage3-success"] == report.stage3_success
+            assert s.coalition_sizes == tuple(sorted(report.coalition_size_histogram.items()))
 
 
 class TestFixedShape:

@@ -165,6 +165,20 @@ class TestPartition:
         p.save(path)
         assert Partition.load(path, n=4) == p
 
+    def test_numpy_ids_save_and_load(self, tmp_path):
+        p = Partition(4, [np.array([2, 0]), np.array([1, 3], dtype=np.int32)])
+        assert p.coalitions == ((0, 2), (1, 3))
+        assert {type(a) for block in p.coalitions for a in block} == {int}
+        path = tmp_path / "p.json"
+        p.save(path)
+        assert Partition.load(path, n=4) == p
+
+    def test_partial_partition_numpy_ids_round_trip_through_json(self):
+        pp = PartialPartition(6, [np.array([4, 1]), (np.int64(3),)])
+        assert pp.coalitions == ((1, 4), (3,))
+        assert {type(a) for block in pp.coalitions for a in block} == {int}
+        assert PartialPartition(6, json.loads(json.dumps(pp.coalitions))) == pp
+
 
 class TestEnumerateDeviations:
     def test_two_singletons(self):

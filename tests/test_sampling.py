@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hedonic_lab.sampling import (
+    _CHUNK,
     SeedSpec,
     UtilityDistribution,
     derive_trial_seed,
@@ -15,6 +16,16 @@ class TestDistribution:
     def test_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             UtilityDistribution(1.0, -1.0)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf),
+                                       (-np.inf, np.inf)])
+    def test_rejects_an_infinite_width(self, lo, hi):
+        # hi - lo scales every draw: an infinite width made the buffered path
+        # redraw forever and the fresh path raise OverflowError.
+        with pytest.raises(ValueError, match="finite width"):
+            UtilityDistribution(lo, hi)
+        with pytest.raises(ValueError, match="finite width"):
+            UtilityDistribution.parse(f"uniform:{lo}:{hi}")
 
     def test_parse(self):
         d = UtilityDistribution.parse("uniform:-0.5:1.5")
@@ -137,3 +148,50 @@ def test_draws_equal_fresh_buffered_and_generator_uniform(n, lo, hi):
 def test_out_buffer_must_be_c_contiguous_float64_square(buf):
     with pytest.raises(ValueError, match="C-contiguous float64"):
         sample_game(5, D, SeedSpec(3), out=buf)
+
+
+class ZeroAt:
+    """A generator whose doubles at the given stream positions are 0.0, the rest ``seed``'s."""
+
+    def __init__(self, seed, zeros):
+        self.rng = seed.rng()
+        self.zeros = zeros
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        vals = self.rng.random(size) if out is None else self.rng.random(out=out)
+        flat = vals.reshape(-1)
+        for p in self.zeros:
+            if self.pos <= p < self.pos + flat.size:
+                flat[p - self.pos] = 0.0
+        self.pos += flat.size
+        return vals
+
+
+def whole_table_then_redraws(rng, lo, hi, shape):
+    """The draw order before chunking: the whole table, then redraws of every endpoint."""
+    vals = rng.random(int(np.prod(shape))).reshape(shape) * (hi - lo) + lo
+    bad = (vals <= lo) | (vals >= hi)
+    while bad.any():
+        vals[bad] = lo + (hi - lo) * rng.random(int(bad.sum()))
+        bad = (vals <= lo) | (vals >= hi)
+    return vals
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_endpoint_redraws_follow_the_whole_table_order(buffered):
+    # A 0.0 double lands on lo, outside the open support.  Endpoints in the
+    # first and a later chunk, and one in the first redraw round, must be
+    # redrawn in the order of one whole-table draw.
+    shape = (3, 150, 100)
+    size = int(np.prod(shape))
+    zeros = (5, 2 * _CHUNK + 17, size + 1)
+    assert size > 2 * _CHUNK + 17
+    dist = UtilityDistribution(-0.5, 1.5)
+    out = np.full(shape, np.nan) if buffered else None
+    got = dist.sample(ZeroAt(SeedSpec(12), zeros), shape, out=out)
+    want = whole_table_then_redraws(ZeroAt(SeedSpec(12), zeros), -0.5, 1.5, shape)
+    assert got.tobytes() == want.tobytes()
+    assert got.min() > -0.5
+    plain = dist.sample(SeedSpec(12).rng(), shape).reshape(-1)
+    assert np.count_nonzero(got.reshape(-1) != plain) == 2  # the two redrawn entries
