@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain
-from operator import add
+from operator import add, index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -656,7 +656,7 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     stage-3 observations are written into it at the end, each into a pair
     that no earlier stage revealed.
     """
-    rem = sorted(set(remainder))
+    rem = sorted(set(map(index, remainder)))  # Python ints, as the trusted blocks need
     for a in rem:
         game.check_agent(a)
     carrier = merged.carrier

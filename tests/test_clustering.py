@@ -427,6 +427,14 @@ class TestCompletePartition:
         partition, ok = complete_partition(g, merged, set())
         assert ok and partition.coalitions == ((0, 1), (2, 3))
 
+    def test_numpy_remainder_ids_save(self, tmp_path):
+        g = game_from({(4, 2): 0.45, (5, 0): 0.3}, 6)
+        merged = PartialPartition(6, [(0, 1), (2, 3)])
+        partition, ok = complete_partition(g, merged, np.array([4, 5]))
+        assert ok and partition.coalitions == ((0, 1, 5), (2, 3, 4))
+        partition.save(tmp_path / "p.json")
+        assert Partition.load(tmp_path / "p.json", n=6) == partition
+
     def test_joins_highest_positive_utility_coalition(self):
         g = game_from({(4, 0): 0.2, (4, 1): 0.2, (4, 2): 0.45, (4, 3): 0.45}, 5)
         merged = PartialPartition(5, [(0, 1), (2, 3)])
