@@ -11,10 +11,9 @@ All scanning orders are fixed (ascending agent id, clique creation order), so
 identical inputs give identical outputs, ledgers included.  Stages 1 and 2
 read single entries through a memoryview of the utility table; stage 2 adds
 its sums in NumPy's pairwise order, so each equals the NumPy row sum of the
-same entries bit for bit.  Each public stage function writes what it
-examined to a ledger it is given once, at its end, from the trace it keeps
-anyway; ``run_three_stage`` keeps those traces and builds its ledger from them
-only when the ledger is first read.
+same entries bit for bit.  Each stage function logs what it examined to the
+ledger it is given once, at its end, from the trace it keeps anyway; the
+ledger builds its code matrix from that log only when it is read.
 """
 from __future__ import annotations
 
@@ -139,7 +138,6 @@ class ValueClass(enum.Enum):
 _BELOW, _AT_LEAST, _STAGE2, _STAGE3 = 1, 2, 3, 4
 _DECODE = (None, (1, ValueClass.BELOW_TAU), (1, ValueClass.AT_LEAST_TAU),
            (2, ValueClass.RAW), (3, ValueClass.RAW))
-_ENCODE = {entry: code for code, entry in enumerate(_DECODE) if entry is not None}
 _STAGE_CODES = {1: (_BELOW, _AT_LEAST), 2: (_STAGE2,), 3: (_STAGE3,)}
 
 
@@ -165,49 +163,41 @@ class RevelationLedger:
     examines it: re-reading an already revealed value changes no conditional
     distribution, so later stages do not overwrite.
 
-    The ledger is one n x n ``int8`` code matrix: 0 unseen, 1 and 2 a stage-1
-    observation below / at least the threshold, 3 a stage-2 and 4 a stage-3
-    raw observation.  Each stage writes its observations once, at its end,
-    from the trace it keeps, and only into pairs still at 0, so the first
-    writer wins.  ``entries()`` yields in row-major key order, and ``==``
-    compares the codes.
-
-    A ledger made with ``RevelationLedger(n)`` holds its matrix from the
-    start.  The ledger of ``run_three_stage`` instead holds the three stages'
-    traces and builds the matrix on the first access to ``_codes``, which
-    every method makes, writing the traces in stage order; a run whose ledger
-    is never read never builds it.  Its stage-1 trace holds the observed
-    classes, not table positions, so the ledger stays the same after the
-    table is overwritten.
+    The ledger is an ordered log of stage writes and the n x n ``int8`` code
+    matrix they build: 0 unseen, 1 and 2 a stage-1 observation below / at
+    least the threshold, 3 a stage-2 and 4 a stage-3 raw observation.  A
+    write only appends to the log; the first read after it (every method but
+    ``record_block`` and ``merge`` reads) allocates the matrix if need be and
+    replays the pending writes in order, each only into pairs still at 0, so
+    the first writer wins.  A ledger that is never read never builds its
+    matrix.  Stage-1 writes hold the observed classes, not table positions,
+    so the ledger stays the same after the table is overwritten.
+    ``entries()`` yields in row-major key order, and ``==`` compares the codes.
     """
 
-    __slots__ = ("n", "_matrix", "_trace")
+    __slots__ = ("n", "_matrix", "_log")
 
     def __init__(self, n: int) -> None:
+        n = index(n)
+        if n < 0:
+            raise ValueError(f"a ledger needs n >= 0 agents, got {n}")
         self.n = n
-        self._matrix: np.ndarray | None = np.zeros((n, n), dtype=np.int8)
-        self._trace: tuple | None = None  # a deferred ledger's stage traces, see ``_codes``
-
-    @classmethod
-    def _deferred(cls, n: int, stage1: tuple[np.ndarray, np.ndarray],
-                  stage2: tuple[list, list], stage3: tuple | None) -> "RevelationLedger":
-        """A ledger built on first read from stage 1's (keys, codes) and the
-        arguments of ``_write_stage2`` and ``_write_stage3``."""
-        ledger = cls.__new__(cls)
-        ledger.n, ledger._matrix, ledger._trace = n, None, (stage1, stage2, stage3)
-        return ledger
+        self._matrix: np.ndarray | None = None
+        self._log: list[tuple[Callable[..., None], tuple]] = []  # writes not yet replayed
 
     @property
     def _codes(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = np.zeros((self.n, self.n), dtype=np.int8)
-            stage1, (sources, targets), stage3 = self._trace
-            self._trace = None
-            self._write(*stage1)
-            _write_stage2(self, sources, targets)
-            if stage3 is not None:
-                _write_stage3(self, *stage3)
+        if self._log:
+            log, self._log = self._log, []
+            for write, args in log:
+                write(self._matrix, *args)
         return self._matrix
+
+    def _write(self, write: Callable[..., None], *args) -> None:
+        """Log ``write(codes, *args)``, replayed into the code matrix on the next read."""
+        self._log.append((write, args))
 
     def _agents(self, agents: Iterable[int]) -> np.ndarray:
         """Agent ids as an index array, each checked to lie in 0..n-1."""
@@ -221,38 +211,12 @@ class RevelationLedger:
             raise InvalidAgentError(f"agent id {bad} outside 0..{self.n - 1}")
         return arr
 
-    def _write(self, keys: np.ndarray, code: int | np.ndarray) -> None:
-        """Write ``code`` (one, or one per key) at each flat key ``src * n + dst``
-        (of valid ids) still at 0."""
-        flat = self._codes.reshape(-1)
-        cur = flat[keys]
-        flat[keys] = np.where(cur == 0, code, cur)
-
-    def record(self, stage: int, src: int, dst: int, value_class: ValueClass) -> bool:
-        """Record one examined entry; returns False if the pair was already revealed.
-
-        Stage-1 entries are threshold observations, stage-2/3 entries raw ones.
-        """
-        code = _ENCODE.get((stage, value_class))
-        if code is None:
-            raise ValueError(f"stage {stage} cannot record a {value_class} observation")
-        self._agents((src, dst))
-        codes = self._codes
-        if codes[src, dst]:
-            return False
-        codes[src, dst] = code
-        return True
-
     def record_block(self, stage: int, sources: Iterable[int], targets: Iterable[int]) -> None:
         """Bulk-record the raw cross product sources x targets for stage 2 or 3."""
         if stage not in (2, 3):
             raise ValueError("record_block is for raw stage-2/3 observations")
         keys = self._agents(sources)[:, None] * self.n + self._agents(targets)
-        self._write(keys.reshape(-1), _ENCODE[stage, ValueClass.RAW])
-
-    def lookup(self, src: int, dst: int) -> tuple[int, ValueClass] | None:
-        self._agents((src, dst))
-        return _DECODE[self._codes[src, dst]]
+        self._write(_write_codes, keys.reshape(-1), _STAGE_CODES[stage][0])
 
     def stage2_between(self, agent: int, members: Iterable[int]) -> bool:
         """Whether any stage-2 entry links ``agent`` with one of ``members`` (either direction)."""
@@ -262,14 +226,18 @@ class RevelationLedger:
         return bool(((codes[agent, m] == _STAGE2) | (codes[m, agent] == _STAGE2)).any())
 
     def merge(self, other: "RevelationLedger") -> None:
-        """Add ``other``'s entries for pairs this ledger has not revealed."""
+        """Add ``other``'s entries for pairs this ledger has not revealed.
+
+        ``other``'s built codes and then its pending writes are appended to
+        this ledger's log; neither ledger is read.
+        """
         if other.n != self.n:
             raise ValueError(f"cannot merge a ledger over {other.n} agents into one over {self.n}")
-        theirs = other._codes.reshape(-1)
-        keys = np.flatnonzero(theirs != 0)  # nonzero is several times slower on int8 than on bool
-        flat = self._codes.reshape(-1)
-        cur = flat[keys]
-        flat[keys] = np.where(cur == 0, theirs[keys], cur)
+        if other._matrix is not None:
+            theirs = other._matrix.reshape(-1)
+            keys = np.flatnonzero(theirs != 0)  # nonzero is several times slower on int8 than on bool
+            self._write(_write_codes, keys, theirs[keys])
+        self._log += other._log
 
     def entries(self, stages: Iterable[int] | None = None):
         flat = self._codes.reshape(-1)
@@ -339,29 +307,51 @@ def _stage1_codes(n: int, U: np.ndarray, tau: float,
     return np.concatenate(keys), np.concatenate(codes)
 
 
-def _write_stage2(ledger: RevelationLedger, sources: Sequence[Sequence[int]],
+def _write_codes(codes: np.ndarray, keys: np.ndarray, code: int | np.ndarray) -> None:
+    """Write ``code`` (one, or one per key) at each flat key ``src * n + dst``
+    (of valid ids) still at 0."""
+    flat = codes.reshape(-1)
+    cur = flat[keys]
+    flat[keys] = np.where(cur == 0, code, cur)
+
+
+def _write_stage2(codes: np.ndarray, sources: Sequence[Sequence[int]],
                   targets: Sequence[Sequence[int]]) -> None:
     """Write the raw blocks sources[i] x targets[i] that stage 2 revealed."""
-    ledger._write(_cross_keys(sources, targets, ledger.n), _STAGE2)
+    _write_codes(codes, _cross_keys(sources, targets, len(codes)), _STAGE2)
 
 
-def _write_stage3(ledger: RevelationLedger, rem: np.ndarray, order: np.ndarray,
+def _write_stage3(codes: np.ndarray, rem: np.ndarray, order: np.ndarray,
                   sizes: np.ndarray, examined: np.ndarray) -> None:
     """Write stage 3's raw observations of remainder agent ``rem[i]`` against every
     member of each coalition ``examined[i]`` marks (``order`` in blocks of ``sizes``).
 
-    Like ``_write``, only into pairs still at 0; the (rem x order) code block
-    is read and written back whole, which is cheaper here than flat keys.
+    Like ``_write_codes``, only into pairs still at 0; the (rem x order) code
+    block is read and written back whole, which is cheaper here than flat keys.
     """
-    codes = ledger._codes
     block = codes[rem][:, order]  # block[i, j]: codes[rem[i], order[j]]
     block[np.repeat(examined, sizes, axis=1) & (block == 0)] = _STAGE3
     codes[rem[:, None], order] = block
 
 
-def _greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float
-                    ) -> tuple[PartialPartition, set[int], list[tuple[tuple[int, ...], list[int]]]]:
-    """``greedy_cliques`` without a ledger; also returns its (members, scanned) growth steps."""
+def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
+                   ledger: RevelationLedger | None = None
+                   ) -> tuple[PartialPartition, set[int]]:
+    """Greedily partition ``carrier`` into mutual-threshold cliques of exactly ``size``.
+
+    Seeds are taken in ascending id order and grown by a single ascending scan
+    of the remaining agents; a candidate joins only if both directed utilities
+    against every current member reach ``threshold``.  The first seed whose
+    clique cannot reach ``size`` stops the whole procedure, returning the
+    partial partition built so far and the untouched remainder.
+
+    Candidates are tested one at a time through a memoryview of the table,
+    member by member, u_w(z) then u_z(w), stopping at the first value below
+    ``threshold``; a seed's scan stops at its first hit.  Blocks hold Python
+    ``int``s.  With a ledger, the checks are logged to it at the end, their
+    observed classes taken from the table then.
+    """
+    _check_ledger(game, ledger)
     if size < 1:
         raise ValueError("size must be at least 1")
     U = game.utilities
@@ -400,30 +390,9 @@ def _greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresh
         blocks.append(tuple(C))
         for pos in reversed(taken):
             del R[pos]
-    return PartialPartition(game.n, blocks, _trusted=True), remainder, steps
-
-
-def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, threshold: float,
-                   ledger: RevelationLedger | None = None
-                   ) -> tuple[PartialPartition, set[int]]:
-    """Greedily partition ``carrier`` into mutual-threshold cliques of exactly ``size``.
-
-    Seeds are taken in ascending id order and grown by a single ascending scan
-    of the remaining agents; a candidate joins only if both directed utilities
-    against every current member reach ``threshold``.  The first seed whose
-    clique cannot reach ``size`` stops the whole procedure, returning the
-    partial partition built so far and the untouched remainder.
-
-    Candidates are tested one at a time through a memoryview of the table,
-    member by member, u_w(z) then u_z(w), stopping at the first value below
-    ``threshold``; a seed's scan stops at its first hit.  Blocks hold Python
-    ``int``s.
-    """
-    _check_ledger(game, ledger)
-    cliques, remainder, steps = _greedy_cliques(game, carrier, size, threshold)
     if ledger is not None:
-        ledger._write(*_stage1_codes(game.n, game.utilities, threshold, steps))
-    return cliques, remainder
+        ledger._write(_write_codes, *_stage1_codes(game.n, U, threshold, steps))
+    return PartialPartition(game.n, blocks, _trusted=True), remainder
 
 
 def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[int],
@@ -435,7 +404,7 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     candidate, and every candidate agent must not lose more than (k-1)*c*s
     against the merged union.  Sums are evaluated in ascending agent order and
     evaluation stops at the first violation; each evaluated sum's constituent
-    pairs are written to the ledger as stage-2 raw observations.
+    pairs are logged to the ledger as stage-2 raw observations.
 
     Entries are read one at a time through a memoryview of the table, and each
     sum is added in NumPy's pairwise order (see ``_row_sum``), so a sum equals
@@ -458,7 +427,7 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     ok, _units, n_eval, n_eval2 = _admit(memoryview(game.utilities), cand, merged_list, k,
                                          thr_cand, thr_merged)
     if ledger is not None:
-        _write_stage2(ledger, [merged_list[:n_eval], cand[:n_eval2]], [cand, merged_list])
+        ledger._write(_write_stage2, [merged_list[:n_eval], cand[:n_eval2]], [cand, merged_list])
     return ok
 
 
@@ -630,13 +599,13 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     Compatibility is ``is_compatible``'s test, through the same scalar
     function: entries read one at a time, sums in NumPy's pairwise order.
     Overlapping partial partitions raise ``PartitionError``.  With a ledger,
-    every revealed entry is written to it at the end.
+    every revealed entry is logged to it at the end.
     """
     _check_ledger(game, ledger)
     merged, remainder, _composition, _attempts, sources, targets = _greedy_cluster_detailed(
         game, partitions, config)
     if ledger is not None:
-        _write_stage2(ledger, sources, targets)
+        ledger._write(_write_stage2, sources, targets)
     return merged, remainder
 
 
@@ -653,7 +622,7 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     flag drops; when coalitions run out entirely, leftovers become singletons.
 
     With a ledger, the stage-2 links are read from its code matrix, and the
-    stage-3 observations are written into it at the end, each into a pair
+    stage-3 observations are logged to it at the end, each to land in a pair
     that no earlier stage revealed.
     """
     rem = sorted(set(map(index, remainder)))  # Python ints, as the trusted blocks need
@@ -670,7 +639,7 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     _check_ledger(game, ledger)
     partition, success, stage3 = _complete_with_trace(game, merged, rem, [], ledger=ledger)
     if ledger is not None and stage3 is not None:
-        _write_stage3(ledger, *stage3)
+        ledger._write(_write_stage3, *stage3)
     return partition, success
 
 
@@ -724,12 +693,8 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     tau = config.edge_threshold
 
     groups = tuple(tuple(range(j, n, g)) for j in range(g))  # round robin, sizes within one
-    stage1_out = [_greedy_cliques(game, groups[j], s, tau) for j in range(g)]
-    # The observed classes read the table, so they are taken now: the ledger
-    # built from them later does not depend on the table still holding this game.
-    # The groups are disjoint, so their steps share one set of keys.
-    stage1_codes = _stage1_codes(n, game.utilities, tau,
-                                 [step for out in stage1_out for step in out[2]])
+    ledger = RevelationLedger(n)
+    stage1_out = [greedy_cliques(game, groups[j], s, tau, ledger) for j in range(g)]
 
     cliques = tuple(out[0] for out in stage1_out)
     rem1 = tuple(tuple(sorted(out[1])) for out in stage1_out)
@@ -741,6 +706,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
 
     merged, remainder2, composition, attempts, sources, targets = _greedy_cluster_detailed(
         game, list(cliques), config)
+    ledger._write(_write_stage2, sources, targets)
     rem2 = tuple(sorted(remainder2))
 
     all_remainder = sorted(set().union(*map(set, rem1), remainder2))
@@ -753,6 +719,8 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     partition, stage3_success, stage3 = _complete_with_trace(
         game, merged, all_remainder, placements,
         links=_stage2_links(attempts, sources, targets, len(merged)))
+    if stage3 is not None:
+        ledger._write(_write_stage3, *stage3)
 
     histogram: dict[int, int] = {}
     for block in partition.coalitions:
@@ -774,7 +742,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     return ThreeStageResult(
         partition=partition,
         report=report,
-        ledger=RevelationLedger._deferred(n, stage1_codes, (sources, targets), stage3),
+        ledger=ledger,
         groups=groups,
         clique_partitions=cliques,
         group_remainders=rem1,
@@ -792,8 +760,8 @@ def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None
     The stage-2 links come from ``ledger``'s codes, or from ``links``, the
     (agent, coalition index) arrays of ``_stage2_links``; with neither, every
     coalition is open to every agent.  Returns (partition, success, stage3),
-    where stage3 is ``_write_stage3``'s arguments after ``ledger``, or None
-    when there was nothing to examine.
+    where stage3 is ``_write_stage3``'s arguments after the code matrix, or
+    None when there was nothing to examine.
     """
     n = game.n
     rem = sorted(set(remainder))

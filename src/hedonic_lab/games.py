@@ -96,7 +96,12 @@ class HedonicGame:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HedonicGame":
-        n = int(data["n"])
+        if not isinstance(data, dict):
+            raise ValueError(f"a game must be a JSON object, not {type(data).__name__}")
+        try:
+            n = int(data["n"])
+        except TypeError:
+            raise ValueError(f"n must be a number, not {data['n']!r}") from None
         arr = np.array(data["utilities"], dtype=float)
         if arr.shape != (n, n):
             raise ValueError(f"utilities shape {arr.shape} does not match n={n}")
@@ -120,9 +125,22 @@ class HedonicGame:
         return f"HedonicGame(n={self.n})"
 
 
+def _agent_id(a) -> int:
+    if isinstance(a, bool):  # ``operator.index`` would take True and False as 1 and 0
+        raise TypeError(f"agent id {a!r} is a bool")
+    return operator.index(a)
+
+
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Each block sorted, its ids as Python ``int``s (NumPy integers included)."""
-    return tuple(tuple(sorted(map(operator.index, block))) for block in blocks)
+    """Each block sorted, its ids as Python ``int``s (NumPy integers included).
+
+    A block that is not iterable, or an id that is not an integer (a float,
+    str or bool), raises ``PartitionError``.
+    """
+    try:
+        return tuple(tuple(sorted(map(_agent_id, block))) for block in blocks)
+    except TypeError as exc:
+        raise PartitionError(f"coalitions must be lists of integer agent ids: {exc}") from None
 
 
 class _Blocks:
@@ -263,7 +281,9 @@ class Partition(_Blocks):
 
     @classmethod
     def from_dict(cls, data: dict, n: int | None = None) -> "Partition":
-        blocks = data["coalitions"]
+        if not isinstance(data, dict):
+            raise ValueError(f"a partition must be a JSON object, not {type(data).__name__}")
+        blocks = _normalize_blocks(data["coalitions"])
         if n is None:
             n = sum(len(b) for b in blocks)
         return cls(n, blocks)

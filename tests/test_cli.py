@@ -65,6 +65,34 @@ class TestCheck:
         assert code == 0 and payload["stable"] is True and payload["witness"] is None
 
 
+    @pytest.mark.parametrize("payload", [
+        {"coalitions": [[0.0, 1.0]]}, {"coalitions": "01"}, {"coalitions": [[True, False]]},
+        [[0, 1]]])
+    def test_malformed_partition_is_input_error(self, chase_path, tmp_path, capsys, payload):
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps(payload))
+        code = main(["check", "--game", chase_path, "--partition", str(ppath),
+                     "--concept", "nash"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--partition", "PART", "--concept", "nash"],
+    ["run-alg", "--out-partition", "OUT_P", "--out-report", "OUT_R"],
+    ["oracle", "--concept", "nash"],
+])
+def test_game_file_holding_a_list_is_input_error(tmp_path, capsys, argv):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(RUN_AND_CHASE.to_dict()["utilities"]))
+    Partition.grand(2).save(tmp_path / "p.json")
+    paths = {"PART": tmp_path / "p.json", "OUT_P": tmp_path / "out_p.json",
+             "OUT_R": tmp_path / "out_r.json"}
+    code = main([argv[0], "--game", str(gpath)] + [str(paths.get(a, a)) for a in argv[1:]])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_no_nash_for_run_and_chase(self, chase_path, capsys):
         code, out = run_cli(capsys, "oracle", "--game", chase_path,

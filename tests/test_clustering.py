@@ -17,12 +17,25 @@ from hedonic_lab.clustering import (
     run_three_stage,
     run_three_stage_detailed,
 )
-from hedonic_lab.clustering import _admit, _compat_thresholds, _row_sum
+from hedonic_lab.clustering import (_AT_LEAST, _BELOW, _admit, _compat_thresholds, _row_sum,
+                                    _write_codes)
 from hedonic_lab.games import (HedonicGame, InvalidAgentError, PartialPartition, Partition,
                                PartitionError)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 
 D = UtilityDistribution(-1, 1)
+
+
+def record1(ledger, src, dst, cls):
+    """Log one stage-1 observation of u_src(dst), as ``greedy_cliques`` logs its checks."""
+    ledger._agents((src, dst))
+    code = _BELOW if cls is ValueClass.BELOW_TAU else _AT_LEAST
+    ledger._write(_write_codes, np.array([src * ledger.n + dst]), code)
+
+
+def codes_of(ledger):
+    """{(src, dst): (stage, value class)} of every entry ``ledger`` has revealed."""
+    return {(src, dst): (stage, cls) for stage, src, dst, cls in ledger.entries()}
 
 
 def game_from(entries, n, default=0.0):
@@ -171,7 +184,7 @@ def greedy_cliques_numpy(game, carrier, size, threshold, ledger):
         for w in scanned.tolist():
             for a, b in [pair for z in members for pair in ((w, z), (z, w))]:
                 below = U[a, b] < threshold
-                ledger.record(1, a, b, BELOW if below else AT_LEAST)
+                record1(ledger, a, b, BELOW if below else AT_LEAST)
                 if below:
                     break
     return blocks, remainder
@@ -460,7 +473,7 @@ class TestCompletePartition:
         g = game_from({(4, 0): 0.2, (4, 1): 0.2, (4, 2): 0.9, (4, 3): 0.9}, 5)
         merged = PartialPartition(5, [(0, 1), (2, 3)])
         ledger = RevelationLedger(5)
-        ledger.record(2, 4, 2, ValueClass.RAW)
+        ledger.record_block(2, [4], [2])
         partition, ok = complete_partition(g, merged, {4}, ledger)
         assert ok
         assert partition.coalitions == ((0, 1, 4), (2, 3))
@@ -472,7 +485,7 @@ class TestCompletePartition:
         g = game_from({(4, 0): -0.2, (4, 1): -0.2, (4, 2): -0.8, (4, 3): -0.8}, 5)
         merged = PartialPartition(5, [(0, 1), (2, 3)])
         ledger = RevelationLedger(5)
-        ledger.record(1, 4, 1, BELOW)
+        record1(ledger, 4, 1, BELOW)
         ledger.record_block(2, [4], [0])
         ledger.record_block(2, [2], [4])
         partition, ok = complete_partition(g, merged, {4}, ledger)
@@ -793,23 +806,24 @@ class TestLedgerInputs:
         {2, 3}, range(2, 4), (m for m in (2, 3)), np.array([2, 3]), [3, 2]])
     def test_stage2_between_accepts_any_iterable(self, members):
         ledger = RevelationLedger(5)
-        ledger.record(2, 4, 2, RAW)
+        ledger.record_block(2, [4], [2])
         assert ledger.stage2_between(4, members)
 
     def test_stage2_between_either_direction_and_stage2_only(self):
         ledger = RevelationLedger(5)
-        ledger.record(2, 4, 2, RAW)
-        ledger.record(3, 4, 1, RAW)
+        ledger.record_block(2, [4], [2])
+        ledger.record_block(3, [4], [1])
         assert ledger.stage2_between(2, [4])
         assert not ledger.stage2_between(4, [0, 1, 3])
         assert not ledger.stage2_between(4, [])
 
     def test_out_of_range_agents_raise(self):
         ledger = RevelationLedger(5)
-        calls = [lambda: ledger.record(2, -1, 0, RAW), lambda: ledger.record(2, 0, 5, RAW),
+        calls = [lambda: ledger.record_block(2, [-1], [0]),
+                 lambda: ledger.record_block(2, [0], [5]),
                  lambda: ledger.record_block(2, [0, 5], [1]),
                  lambda: ledger.record_block(3, {0}, range(-1, 1)),
-                 lambda: ledger.lookup(0, 5), lambda: ledger.lookup(-1, 0),
+                 lambda: ledger.stage2_between(5, [0]), lambda: ledger.stage2_between(-1, [0]),
                  lambda: ledger.stage2_between(0, [-1])]
         for call in calls:
             with pytest.raises(InvalidAgentError):
@@ -818,6 +832,16 @@ class TestLedgerInputs:
         g = game_from({}, 5)
         with pytest.raises(InvalidAgentError):
             is_compatible(g, (-1, 3), (0, 1), 2, TestIsCompatible.CFG, ledger)
+
+    @pytest.mark.parametrize("n,error", [(-1, ValueError), (2.5, TypeError), ("3", TypeError),
+                                         (None, TypeError), (np.float64(3), TypeError)])
+    def test_bad_size_raises_at_construction(self, n, error):
+        with pytest.raises(error):
+            RevelationLedger(n)
+
+    def test_integer_sizes_are_accepted(self):
+        assert RevelationLedger(np.int64(3)).n == 3
+        assert len(RevelationLedger(0)) == 0
 
     def test_ledger_size_must_match_game(self):
         g = game_from({}, 5)
@@ -828,29 +852,27 @@ class TestLedgerInputs:
         ledger = RevelationLedger(4)
         ledger.record_block(2, [0], [1])
         ledger.record_block(3, [0], [1, 2])
-        assert ledger.lookup(0, 1) == (2, RAW)
-        assert ledger.lookup(0, 2) == (3, RAW)
+        assert codes_of(ledger) == {(0, 1): (2, RAW), (0, 2): (3, RAW)}
         ledger.record_block(2, [0, 1], [2, 3])
-        assert not ledger.record(1, 1, 2, BELOW)
-        assert ledger.record(1, 2, 0, BELOW)
+        record1(ledger, 1, 2, BELOW)
+        record1(ledger, 2, 0, BELOW)
         assert [(st, src, dst) for st, src, dst, _c in ledger.entries()] == [
             (2, 0, 1), (3, 0, 2), (2, 0, 3), (2, 1, 2), (2, 1, 3), (1, 2, 0)]
         assert len(ledger) == 6
 
     def test_merge_and_equality_use_effective_codes(self):
         a, b = RevelationLedger(3), RevelationLedger(3)
-        a.record(1, 0, 1, AT_LEAST)
+        record1(a, 0, 1, AT_LEAST)
         b.record_block(2, [0], [1, 2])
-        b.record(3, 1, 0, RAW)
+        b.record_block(3, [1], [0])
         a.merge(b)
-        assert a.lookup(0, 1) == (1, AT_LEAST)
-        assert a.lookup(0, 2) == (2, RAW) and a.lookup(1, 0) == (3, RAW)
+        assert codes_of(a) == {(0, 1): (1, AT_LEAST), (0, 2): (2, RAW), (1, 0): (3, RAW)}
         c = RevelationLedger(3)
-        c.record(1, 0, 1, AT_LEAST)
+        record1(c, 0, 1, AT_LEAST)
         c.record_block(2, [0, 0], [2, 1])
         c.record_block(3, [1], [0])
         assert a == c
-        c.record(2, 2, 2, RAW)
+        c.record_block(2, [2], [2])
         assert a != c
 
 
@@ -891,7 +913,7 @@ def test_run_three_stage_memory_with_tiled_stage3(compat):
 
 
 def composed_stages(game, cfg):
-    """The public stages run one after another into one eager ledger, as ``run_three_stage`` runs them."""
+    """The public stages run one after another into one ledger, as ``run_three_stage`` runs them."""
     n, g = game.n, cfg.num_groups
     ledger = RevelationLedger(n)
     stage1 = [greedy_cliques(game, range(j, n, g), cfg.clique_size(n), cfg.edge_threshold, ledger)
@@ -915,7 +937,7 @@ def test_deferred_ledger_survives_refilling_the_table(compat):
     want_partition, want_ledger = composed_stages(game, cfg)
     assert ledger._matrix is None  # not built yet
     next_game = sample_game(n, D, SeedSpec(42), out=buf)
-    assert composed_stages(next_game, cfg)[1] != want_ledger  # the refill moves an eager ledger
+    assert composed_stages(next_game, cfg)[1] != want_ledger  # the refill is another game
     assert partition == want_partition
     assert ledger == want_ledger
     assert ledger.count_by_stage()[3] > 0
@@ -936,3 +958,96 @@ def test_run_three_stage_unread_ledger_memory_at_n2000():
         tracemalloc.stop()
     assert report.merged_count > 0 and report.stage2_remainder > 0
     assert peak < n * n, f"{peak / n**2:.2f} n^2 bytes"
+
+
+@pytest.mark.parametrize("read_groups", [False, True])
+@pytest.mark.parametrize("n,g,tau,compat", [(400, 4, 0.5, 2.0), (400, 4, 0.5, 0.25),
+                                            (1000, 20, 0.1, 2.0)])
+def test_merged_group_ledgers_equal_run_three_stage(n, g, tau, compat, read_groups):
+    # One ledger per stage-1 group, merged into one that stages 2 and 3 then
+    # use, equals run_three_stage's ledger whether or not the group ledgers
+    # were read (built) before the merge.
+    cfg = AlgoConfig(num_groups=g, edge_threshold=tau, compat_constant=compat,
+                     clique_size_rule=lambda m: 2)
+    game = sample_game(n, D, SeedSpec(43))
+    partition, report, want = run_three_stage(game, cfg)
+    group_ledgers = [RevelationLedger(n) for _ in range(g)]
+    stage1 = [greedy_cliques(game, range(j, n, g), 2, tau, group_ledgers[j]) for j in range(g)]
+    if read_groups:
+        assert sum(len(gl) for gl in group_ledgers) == want.count_by_stage()[1]
+    ledger = RevelationLedger(n)
+    for gl in group_ledgers:
+        ledger.merge(gl)
+    assert ledger._matrix is None
+    assert all((gl._matrix is None) != read_groups for gl in group_ledgers)
+    merged, rem2 = greedy_cluster(game, [cliques for cliques, _ in stage1], cfg, ledger)
+    remainder = set(rem2).union(*(rem for _, rem in stage1))
+    composed, _ok = complete_partition(game, merged, remainder, ledger)
+    assert report.merged_count > 0
+    assert composed == partition
+    assert ledger == want
+    assert ledger.count_by_stage()[3] > 0
+
+
+def test_unread_stage_ledger_memory_at_n2000():
+    # Stages 1 and 2 only log their writes: before the first read the ledger
+    # holds no n x n code matrix, which alone is n^2 bytes.
+    n, g = 2000, 4
+    cfg = AlgoConfig(num_groups=g, edge_threshold=0.5, compat_constant=0.25,
+                     clique_size_rule=lambda m: 2)
+    game = sample_game(n, D, SeedSpec(2))
+    tracemalloc.start()
+    try:
+        ledger = RevelationLedger(n)
+        stage1 = [greedy_cliques(game, range(j, n, g), 2, 0.5, ledger) for j in range(g)]
+        greedy_cluster(game, [cliques for cliques, _ in stage1], cfg, ledger)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger._matrix is None
+    assert peak < n * n, f"{peak / n**2:.2f} n^2 bytes"
+    counts = ledger.count_by_stage()
+    assert counts[1] > 0 and counts[2] > 0
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_logged_writes_keep_first_writer_like_reference(seed):
+    # Random sequences of stage-1 writes, record_block, merge (of ledgers that
+    # were or were not read) and reads, against the dict ledger.
+    rng = np.random.default_rng(seed)
+    n = 6
+
+    def ids():
+        return rng.integers(0, n, size=int(rng.integers(0, 4))).tolist()
+
+    def check(ledger, ref):
+        assert set(ledger.entries()) == ref.entries()
+        assert len(ledger) == len(ref.seen)
+
+    def run(ledger, ref, steps, depth):
+        for _ in range(steps):
+            op = int(rng.integers(0, 5 if depth else 4))
+            if op == 0:
+                src, dst = (int(a) for a in rng.integers(0, n, size=2))
+                cls = BELOW if rng.random() < 0.5 else AT_LEAST
+                record1(ledger, src, dst, cls)
+                ref.put(1, src, dst, cls)
+            elif op == 1:
+                stage, sources, targets = int(rng.integers(2, 4)), ids(), ids()
+                ledger.record_block(stage, sources, targets)
+                for src in sources:
+                    for dst in targets:
+                        ref.put(stage, src, dst, RAW)
+            elif op in (2, 3):
+                check(ledger, ref)
+            else:
+                other, other_ref = RevelationLedger(n), ReferenceLedger()
+                run(other, other_ref, int(rng.integers(0, 8)), depth - 1)
+                ledger.merge(other)
+                for (src, dst), (stage, cls) in other_ref.seen.items():
+                    ref.put(stage, src, dst, cls)
+                run(other, other_ref, 2, 0)  # later writes to other stay out of ledger
+
+    ledger, ref = RevelationLedger(n), ReferenceLedger()
+    run(ledger, ref, 30, 2)
+    check(ledger, ref)

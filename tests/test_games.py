@@ -43,6 +43,11 @@ class TestHedonicGame:
         with pytest.raises(ValueError, match="populated"):
             HedonicGame([[0.0, np.nan], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("n", [[2], None, {"n": 2}])
+    def test_from_dict_rejects_a_non_numeric_n(self, n):
+        with pytest.raises(ValueError, match="n must be a number"):
+            HedonicGame.from_dict({"n": n, "utilities": [[0.0, 1.0], [1.0, 0.0]]})
+
     def test_utilities_read_only(self):
         g = RUN_AND_CHASE
         with pytest.raises(ValueError):
@@ -172,6 +177,23 @@ class TestPartition:
         path = tmp_path / "p.json"
         p.save(path)
         assert Partition.load(path, n=4) == p
+
+    @pytest.mark.parametrize("coalitions", [
+        [[0.0, 1.0], [2]], "012", [[True, False], [2]], [[np.True_], [0, 1]], [5], [[None]],
+        [["0"], [1, 2]]])
+    def test_non_integer_ids_raise_partition_error(self, coalitions):
+        with pytest.raises(PartitionError, match="integer agent ids"):
+            Partition.from_dict({"coalitions": coalitions})
+        if isinstance(coalitions, list):
+            with pytest.raises(PartitionError, match="integer agent ids"):
+                PartialPartition(3, coalitions)
+
+    @pytest.mark.parametrize("data", [[[0, 1], [2]], "p", 3, None])
+    def test_from_dict_rejects_a_non_object(self, data):
+        with pytest.raises(ValueError, match="JSON object"):
+            Partition.from_dict(data)
+        with pytest.raises(ValueError, match="JSON object"):
+            HedonicGame.from_dict(data)
 
     def test_partial_partition_numpy_ids_round_trip_through_json(self):
         pp = PartialPartition(6, [np.array([4, 1]), (np.int64(3),)])
