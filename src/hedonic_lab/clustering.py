@@ -10,17 +10,18 @@ was revealed.
 All scanning orders are fixed (ascending agent id, clique creation order), so
 identical inputs give identical outputs, ledgers included.  Stages 1 and 2
 read single entries through a memoryview of the utility table; stage 2 adds
-its sums in NumPy's pairwise order, so each equals the NumPy row sum of the
-same entries bit for bit.  Each stage function logs what it examined to the
-ledger it is given once, at its end, from the trace it keeps anyway; the
-ledger builds its code matrix from that log only when it is read.
+its sums in NumPy's order (sequentially below 8 terms, pairwise from 8), so
+each equals the NumPy row sum of the same entries bit for bit.  Each stage
+function logs what it examined to the ledger it is given once, at its end,
+from the trace it keeps anyway; the ledger builds its code matrix from that
+log only when it is read.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import add, index
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -99,11 +100,11 @@ class AlgoConfig:
     clique_size_rule: Callable[[int], int] | None = None
 
     def __post_init__(self) -> None:
-        if self.num_groups < 2:
+        if index(self.num_groups) < 2:
             raise ValueError("num_groups must be at least 2")
         if not 0.0 < self.edge_threshold < 1.0:
             raise ValueError("edge_threshold must lie strictly between 0 and 1")
-        if self.compat_constant <= 0.0:
+        if not self.compat_constant > 0.0:  # NaN too: every NaN threshold admits all
             raise ValueError("compat_constant must be positive")
 
     def clique_size(self, n: int) -> int:
@@ -407,8 +408,8 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     pairs are logged to the ledger as stage-2 raw observations.
 
     Entries are read one at a time through a memoryview of the table, and each
-    sum is added in NumPy's pairwise order (see ``_row_sum``), so a sum equals
-    the NumPy row sum of the same entries bit for bit.  ``candidate`` and
+    sum is added in NumPy's order (see ``_admit`` and ``_row_sum``), so a sum
+    equals the NumPy row sum of the same entries bit for bit.  ``candidate`` and
     ``merged`` must be disjoint: a shared agent raises ``PartitionError``.
     """
     if k < 2:
@@ -464,23 +465,33 @@ def _admit(entry: memoryview, cand: Sequence[int], merged: Sequence[int], k: int
     """``is_compatible`` on sorted, disjoint, valid ids, through a memoryview ``entry``.
 
     Returns (ok, pair units, n_eval, n_eval2): the sums evaluated reveal
-    ``merged[:n_eval] x cand`` and ``cand[:n_eval2] x merged``.
+    ``merged[:n_eval] x cand`` and ``cand[:n_eval2] x merged``.  A sum of
+    fewer than 8 terms is added in a plain loop from +0.0, which is NumPy's
+    order for it; longer ones go through ``_row_sum``.
     """
+    short = len(cand) < 8
     n_eval = 0
-    ok = True
-    for a in merged:
-        n_eval += 1
-        if _row_sum([entry[a, b] for b in cand]) < thr_cand:
-            ok = False
-            break
+    for n_eval, a in enumerate(merged, 1):
+        if short:
+            t = 0.0
+            for b in cand:
+                t += entry[a, b]
+        else:
+            t = _row_sum([entry[a, b] for b in cand])
+        if t < thr_cand:
+            return False, n_eval, n_eval, 0
+    short = len(merged) < 8
     n_eval2 = 0
-    if ok:
-        for b in cand:
-            n_eval2 += 1
-            if _row_sum([entry[b, a] for a in merged]) < thr_merged:
-                ok = False
-                break
-    return ok, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
+    for n_eval2, b in enumerate(cand, 1):
+        if short:
+            t = 0.0
+            for a in merged:
+                t += entry[b, a]
+        else:
+            t = _row_sum([entry[b, a] for a in merged])
+        if t < thr_merged:
+            return False, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
+    return True, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
 
 
 class AttemptRecord(NamedTuple):
@@ -494,19 +505,80 @@ class AttemptRecord(NamedTuple):
     pair_units: int
 
 
+@dataclass
+class _Stage2Trace:
+    """Stage 2's merge attempts as columns; the records, the ledger write and
+    stage 3's links are built from them only when read.
+
+    Attempt j summed ``n_eval[j]`` rows of its scan's union against
+    ``cands[j]``, then ``n_eval2[j]`` rows of ``cands[j]`` against the union.
+    Each position scan is one ``scans`` entry (round, position k, the union
+    before the scan, index of its first attempt).  A scan ends at its
+    successful attempt, except a last one that ``stopped`` stage 2.
+    """
+
+    n_eval: list[int] = field(default_factory=list)
+    n_eval2: list[int] = field(default_factory=list)
+    cands: list[tuple[int, ...]] = field(default_factory=list)
+    scans: list[tuple[int, int, Sequence[int], int]] = field(default_factory=list)
+    stopped: bool = False
+
+    def _spans(self):
+        """Yield (round, k, union, first, stop) per scan, its attempts first..stop-1."""
+        stops = [scan[3] for scan in self.scans[1:]] + [len(self.cands)]
+        for (r, k, union, first), stop in zip(self.scans, stops):
+            yield r, k, union, first, stop
+
+    @cached_property
+    def attempts(self) -> tuple[AttemptRecord, ...]:
+        """One record per attempt, in attempt order."""
+        out = []
+        last = len(self.scans) - 1
+        for i, (r, k, _union, first, stop) in enumerate(self._spans()):
+            found = not (self.stopped and i == last)
+            out += (AttemptRecord(r, k, k - 1, j - first, found and j == stop - 1,
+                                  self.n_eval[j] + self.n_eval2[j] * (k - 1))
+                    for j in range(first, stop))
+        return tuple(out)
+
+    def write(self, codes: np.ndarray) -> None:
+        """Ledger write of the raw blocks the attempts revealed: attempt j's
+        union[:n_eval] x cand and cand[:n_eval2] x union."""
+        sources: list[Sequence[int]] = []
+        targets: list[Sequence[int]] = []
+        for _r, _k, union, first, stop in self._spans():
+            for j in range(first, stop):
+                cand = self.cands[j]
+                sources += (union[:self.n_eval[j]], cand[:self.n_eval2[j]])
+                targets += (cand, union)
+        _write_stage2(codes, sources, targets)
+
+    def links(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """(agent, coalition) pairs that a stage-2 entry links, for the first ``rounds`` rounds.
+
+        A round's union lies inside its merged coalition once the round
+        completes.  An attempt against a nonempty union read u_m(b) for a union
+        member m and every candidate agent b, linking its whole clique.  Joined
+        candidates are listed too; callers look up only remainder agents.
+        Stage 2 pairs different groups, so no stage-1 code shadows a link.
+        """
+        agents: list[int] = []
+        coalitions: list[int] = []
+        for r, _k, union, first, stop in self._spans():
+            if r < rounds and union:
+                agents += chain.from_iterable(self.cands[first:stop])
+                coalitions += [r] * (len(agents) - len(coalitions))
+        return np.array(agents, dtype=np.intp), np.array(coalitions, dtype=np.intp)
+
+
 def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartition],
                              config: AlgoConfig
                              ) -> tuple[PartialPartition, set[int],
-                                        tuple[tuple[tuple[int, ...], ...], ...],
-                                        tuple[AttemptRecord, ...],
-                                        list[Sequence[int]], list[Sequence[int]]]:
+                                        tuple[tuple[tuple[int, ...], ...], ...], _Stage2Trace]:
     """``greedy_cluster`` without a ledger, returning what its views are derived from.
 
-    Returns (merged, remainder, composition, attempts, sources, targets):
-    each merged coalition's cliques, every attempt, and the raw blocks
-    sources[i] x targets[i] the attempts revealed.  Attempt j revealed
-    sources[2j] x targets[2j] = merged[:n_eval] x cand and
-    sources[2j+1] x targets[2j+1] = cand[:n_eval2] x merged.
+    Returns (merged, remainder, composition, trace): each merged coalition's
+    cliques and the columns of every attempt.
     """
     g = len(partitions)
     if g < 2:
@@ -527,11 +599,10 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
     # Blocks are sorted (``greedy_cliques`` builds them ascending, ``PartialPartition``
     # sorts a caller's), so ``_admit`` reads them as they are.
     avail: list[list[tuple[int, ...]]] = [list(p.coalitions) for p in partitions]
-    sources: list[Sequence[int]] = []
-    targets: list[Sequence[int]] = []
+    trace = _Stage2Trace()
+    n_evals, n_evals2, cands, scans = trace.n_eval, trace.n_eval2, trace.cands, trace.scans
     merged_blocks: list[tuple[int, ...]] = []
     composition: list[tuple[tuple[int, ...], ...]] = []
-    attempts: list[AttemptRecord] = []
 
     def finish():
         leftovers: set[int] = set()
@@ -539,49 +610,32 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
             for block in group:
                 leftovers.update(block)
         return (PartialPartition(n, merged_blocks, _trusted=True), leftovers,
-                tuple(composition), tuple(attempts), sources, targets)
+                tuple(composition), trace)
 
     while avail[0]:
         chosen_idx: list[int] = [0] * g
         merged_list: Sequence[int] = avail[0][0]
         for kk in range(1, g):
             thr_cand, thr_merged = thresholds[kk]
+            scans.append((len(merged_blocks), kk + 1, merged_list, len(cands)))
             found = None
             for idx, cand in enumerate(avail[kk]):
-                ok, units, n_eval, n_eval2 = _admit(entry, cand, merged_list, kk + 1,
-                                                    thr_cand, thr_merged)
-                sources += (merged_list[:n_eval], cand[:n_eval2])
-                targets += (cand, merged_list)
-                attempts.append(AttemptRecord(len(merged_blocks), kk + 1, kk, idx, ok, units))
+                ok, _units, n_eval, n_eval2 = _admit(entry, cand, merged_list, kk + 1,
+                                                     thr_cand, thr_merged)
+                n_evals.append(n_eval)
+                n_evals2.append(n_eval2)
+                cands.append(cand)
                 if ok:
                     found = idx
                     break
             if found is None:
+                trace.stopped = True
                 return finish()
             chosen_idx[kk] = found
             merged_list = sorted((*merged_list, *avail[kk][found]))
         composition.append(tuple(avail[kk].pop(chosen_idx[kk]) for kk in range(g)))
         merged_blocks.append(tuple(merged_list))
     return finish()
-
-
-def _stage2_links(attempts: Sequence[AttemptRecord], sources: Sequence[Sequence[int]],
-                  targets: Sequence[Sequence[int]], rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """(agent, coalition) pairs that a stage-2 entry links, for the first ``rounds`` rounds.
-
-    A round's union lies inside its merged coalition once the round completes.
-    An attempt with ``n_eval > 0`` read u_m(b) for a union member m and every
-    candidate agent b, linking its whole clique; one with an empty union read
-    nothing.  Joined candidates are listed too; callers look up only remainder
-    agents.  Stage 2 pairs different groups, so no stage-1 code shadows a link.
-    """
-    agents: list[int] = []
-    coalitions: list[int] = []
-    for attempt, union_part, cand in zip(attempts, sources[0::2], targets[0::2]):
-        if attempt.round_index < rounds and union_part:
-            agents += cand
-            coalitions += [attempt.round_index] * len(cand)
-    return np.array(agents, dtype=np.intp), np.array(coalitions, dtype=np.intp)
 
 
 def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
@@ -597,15 +651,14 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     coalitions' agents become the remainder.
 
     Compatibility is ``is_compatible``'s test, through the same scalar
-    function: entries read one at a time, sums in NumPy's pairwise order.
+    function: entries read one at a time, sums in NumPy's order.
     Overlapping partial partitions raise ``PartitionError``.  With a ledger,
     every revealed entry is logged to it at the end.
     """
     _check_ledger(game, ledger)
-    merged, remainder, _composition, _attempts, sources, targets = _greedy_cluster_detailed(
-        game, partitions, config)
+    merged, remainder, _composition, trace = _greedy_cluster_detailed(game, partitions, config)
     if ledger is not None:
-        ledger._write(_write_stage2, sources, targets)
+        ledger._write(trace.write)
     return merged, remainder
 
 
@@ -670,7 +723,8 @@ class StageReport:
 class ThreeStageResult:
     """Full trace of one run, for structural verification.
 
-    ``ledger`` builds its code matrix on first read (see ``RevelationLedger``).
+    ``ledger`` builds its code matrix on first read (see ``RevelationLedger``),
+    and ``attempts`` builds its records from stage 2's columns on first read.
     """
 
     partition: Partition
@@ -682,8 +736,12 @@ class ThreeStageResult:
     merged: PartialPartition
     merged_composition: tuple[tuple[tuple[int, ...], ...], ...]
     stage2_remainder: tuple[int, ...]
-    attempts: tuple[AttemptRecord, ...]
+    _stage2: _Stage2Trace
     placements: tuple[tuple[int, int | None, bool], ...] = field(default_factory=tuple)
+
+    @property
+    def attempts(self) -> tuple[AttemptRecord, ...]:
+        return self._stage2.attempts
 
 
 def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStageResult:
@@ -704,9 +762,9 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         all(len(block) == s for block in cliques[j].coalitions) and len(rem1[j]) <= cap1
         for j in range(g))
 
-    merged, remainder2, composition, attempts, sources, targets = _greedy_cluster_detailed(
+    merged, remainder2, composition, stage2 = _greedy_cluster_detailed(
         game, list(cliques), config)
-    ledger._write(_write_stage2, sources, targets)
+    ledger._write(stage2.write)
     rem2 = tuple(sorted(remainder2))
 
     all_remainder = sorted(set().union(*map(set, rem1), remainder2))
@@ -718,7 +776,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     placements: list[tuple[int, int | None, bool]] = []
     partition, stage3_success, stage3 = _complete_with_trace(
         game, merged, all_remainder, placements,
-        links=_stage2_links(attempts, sources, targets, len(merged)))
+        links=stage2.links(len(merged)))
     if stage3 is not None:
         ledger._write(_write_stage3, *stage3)
 
@@ -749,7 +807,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         merged=merged,
         merged_composition=composition,
         stage2_remainder=rem2,
-        attempts=attempts,
+        _stage2=stage2,
         placements=tuple(placements),
     )
 
@@ -758,10 +816,13 @@ def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None
     """complete_partition with a per-agent placement trace appended to ``placements_out``.
 
     The stage-2 links come from ``ledger``'s codes, or from ``links``, the
-    (agent, coalition index) arrays of ``_stage2_links``; with neither, every
-    coalition is open to every agent.  Returns (partition, success, stage3),
-    where stage3 is ``_write_stage3``'s arguments after the code matrix, or
-    None when there was nothing to examine.
+    (agent, coalition index) arrays of ``_Stage2Trace.links``; with neither,
+    every coalition is open to every agent.  Each placement uses up one
+    coalition, so only the first ``len(merged)`` remainder agents are placed
+    and only their utilities and links are gathered; the rest become
+    singletons.  Returns (partition, success, stage3), where stage3 is
+    ``_write_stage3``'s arguments after the code matrix, or None when there
+    was nothing to examine.
     """
     n = game.n
     rem = sorted(set(remainder))
@@ -774,19 +835,20 @@ def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None
 
     blocks = list(merged.coalitions)
     nb = len(blocks)
+    placed, singles = rem[:nb], rem[nb:]
     U = game.utilities
-    rem_arr = np.asarray(rem, dtype=np.intp)
+    rem_arr = np.asarray(placed, dtype=np.intp)
     order = np.fromiter((a for block in blocks for a in block), dtype=np.intp)
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
     starts = np.zeros(nb, dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    vals = np.empty((len(rem), nb))
-    for r0 in range(0, len(rem), _GATHER_ROWS):
+    vals = np.empty((len(placed), nb))
+    for r0 in range(0, len(placed), _GATHER_ROWS):
         tile = rem_arr[r0:r0 + _GATHER_ROWS]
         vals[r0:r0 + len(tile)] = np.add.reduceat(U[tile[:, None], order], starts, axis=1)
 
     alive = np.ones(nb, dtype=bool)
-    open_to = np.ones((len(rem), nb), dtype=bool)  # no stage-2 link to the coalition
+    open_to = np.ones((len(placed), nb), dtype=bool)  # no stage-2 link to the coalition
     if ledger is not None:
         codes = ledger._codes
         linked = ((codes[rem_arr][:, order] == _STAGE2)  # codes[a, m]: remainder a, member m
@@ -795,21 +857,15 @@ def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None
     elif links is not None:
         agents, coalitions = links
         row_of = np.full(n, -1, dtype=np.intp)
-        row_of[rem_arr] = np.arange(len(rem))
+        row_of[rem_arr] = np.arange(len(placed))
         rows = row_of[agents]
         hit = rows >= 0
         open_to[rows[hit], coalitions[hit]] = False
     examined = np.zeros_like(open_to)
     additions: dict[int, int] = {}
-    singles: list[int] = []
-    success = True
+    success = not singles
     neg_inf = -np.inf
-    for r_i, a in enumerate(rem):
-        if not alive.any():
-            singles.append(a)
-            placements_out.append((a, None, False))
-            success = False
-            continue
+    for r_i, a in enumerate(placed):
         qual = alive & open_to[r_i]
         row = vals[r_i]
         masked = np.where(qual, row, neg_inf)
@@ -825,6 +881,7 @@ def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None
         placements_out.append((a, best, satisfied))
         additions[best] = a
         alive[best] = False
+    placements_out.extend((a, None, False) for a in singles)
 
     final_blocks: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):

@@ -225,6 +225,21 @@ class TestMc:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("compat", ["nan", "-0.5", "0"])
+def test_compat_that_is_not_positive_is_input_error(tmp_path, capsys, compat):
+    # With --compat nan every stage-2 threshold was NaN and every merge passed.
+    gpath = tmp_path / "g.json"
+    RUN_AND_CHASE.save(gpath)
+    ppath, rpath = tmp_path / "p.json", tmp_path / "r.json"
+    assert main(["run-alg", "--game", str(gpath), "--compat", compat,
+                 "--out-partition", str(ppath), "--out-report", str(rpath)]) == 2
+    out = tmp_path / "res.csv"
+    assert main(["mc", "--kind", "mc-alg", "--n", "20", "--trials", "1", "--compat", compat,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("compat_constant must be positive") == 2
+    assert not (ppath.exists() or rpath.exists() or out.exists())
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -71,6 +71,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlgoConfig(compat_constant=0.0)
 
+    @pytest.mark.parametrize("compat", [float("nan"), -float("nan"), -1.0, -float("inf")])
+    def test_rejects_compat_that_is_not_positive(self, compat):
+        # A NaN constant makes every threshold NaN, and no sum is below NaN.
+        with pytest.raises(ValueError, match="compat_constant"):
+            AlgoConfig(compat_constant=compat)
+
+    @pytest.mark.parametrize("groups", [2.5, 4.0, "4", None])
+    def test_rejects_num_groups_that_is_not_an_integer(self, groups):
+        with pytest.raises(TypeError):
+            AlgoConfig(num_groups=groups)
+
+    def test_accepts_integer_like_num_groups(self):
+        assert AlgoConfig(num_groups=np.int64(4)).num_groups == 4
+
 
 class TestGreedyCliques:
     def test_two_pair_hand_trace(self):
@@ -386,6 +400,46 @@ class TestAdmitAgainstNumpy:
                                    want_ledger)
         assert got == want
         assert got_ledger == want_ledger
+
+
+class TestAdmitShortSumBoundary:
+    """``_admit`` at the lengths where its sums switch from a plain loop to ``_row_sum``.
+
+    One merged agent against ``length`` candidates makes the first test one
+    sum of ``length`` terms; one candidate against ``length`` merged agents
+    does the same for the second test.  Each sum's threshold is set to the
+    NumPy row sum of the same entries (the test passes) or the next float
+    above it (it fails), so a sum one ulp off NumPy's gives another verdict.
+    """
+    N = 260
+    LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129]
+
+    @pytest.mark.parametrize("kind", ["uniform", "magnitudes"])
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_long_side_against_numpy_row_sums(self, length, kind):
+        rng = np.random.default_rng(length)
+        U = TestRowSum.rows(kind, rng, (self.N, self.N))
+        entry = memoryview(U)
+        for trial in range(12):
+            ids = rng.permutation(self.N)
+            many, one = np.sort(ids[:length]), ids[length:length + 1]
+            # trial % 2: the long sum is the first test's (candidate side) or the second's.
+            cand, merged = (many, one) if trial % 2 == 0 else (one, many)
+            sums_m = U[merged[:, None], cand].sum(axis=1)
+            sums_c = U[cand[:, None], merged].sum(axis=1)
+            for bump_m, bump_c in [(False, False), (True, False), (False, True)]:
+                thr_cand = np.nextafter(sums_m.min(), np.inf) if bump_m else sums_m.min()
+                thr_merged = np.nextafter(sums_c.min(), np.inf) if bump_c else sums_c.min()
+                k = int(rng.integers(2, 6))
+                got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
+                ok, units, n_eval, n_eval2 = _admit(entry, cand.tolist(), merged.tolist(), k,
+                                                    float(thr_cand), float(thr_merged))
+                got_ledger.record_block(2, merged[:n_eval], cand)
+                got_ledger.record_block(2, cand[:n_eval2], merged)
+                want = admit_numpy(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
+                assert (ok, units) == want, (length, trial, bump_m, bump_c)
+                assert ok == (not bump_m and not bump_c)
+                assert got_ledger == want_ledger
 
 
 class TestGreedyCluster:
@@ -784,6 +838,135 @@ class TestLedgerAgainstReference:
         det, _ref = assert_ledger_matches_reference(200, 4, 2, 0.5, 2.0, seed=5102)
         outcomes = {"out" if best is None else ok for _a, best, ok in det.placements}
         assert outcomes == {"out", True, False}
+
+
+def complete_reference(game, merged, remainder, ledger):
+    """Stage 3 as it ran before placing only what it can: every remainder row is
+    gathered and walked, and an agent finding no coalition left becomes a singleton.
+
+    Stage-2 links are read from ``ledger`` before anything is placed; each
+    examined coalition is then recorded on it as a stage-3 block.  Returns
+    (partition, success, placements).
+    """
+    U, blocks = game.utilities, list(merged.coalitions)
+    rem = np.array(sorted(remainder), dtype=np.intp)
+    order = np.array([a for block in blocks for a in block], dtype=np.intp)
+    starts = np.cumsum([0] + [len(b) for b in blocks])[:-1]
+    vals = np.add.reduceat(U[rem[:, None], order], starts, axis=1)
+    linked = [[ledger.stage2_between(int(a), block) for block in blocks] for a in rem]
+    alive = np.ones(len(blocks), dtype=bool)
+    final, placements, success = list(blocks), [], True
+    for i, a in enumerate(rem.tolist()):
+        if not alive.any():
+            final.append((a,))
+            placements.append((a, None, False))
+            success = False
+            continue
+        qual = alive & ~np.array(linked[i], dtype=bool)
+        best = int(np.where(qual, vals[i], -np.inf).argmax())
+        satisfied = bool(qual[best] and vals[i, best] > 0.0)
+        if not satisfied:
+            success = False
+            best = int(np.where(alive, vals[i], -np.inf).argmax())
+        for j in np.flatnonzero(qual if satisfied else alive):
+            ledger.record_block(3, [a], blocks[j])
+        placements.append((a, best, satisfied))
+        final[best] = tuple(sorted(final[best] + (a,)))
+        alive[best] = False
+    return Partition(game.n, final), success, placements
+
+
+class TestStage3MoreRemainderThanCoalitions:
+    """Only the first len(merged) remainder agents are placed; the reference walks them all."""
+
+    @pytest.mark.parametrize("fall_back", [0, 3])
+    def test_complete_partition_against_reference(self, fall_back):
+        # 40 coalitions of 5, 120 remainder agents; random stage-1 and stage-2
+        # entries link remainder agents to coalition members, and the first
+        # ``fall_back`` placed agents to every coalition, so they fall back.
+        n, rng = 320, np.random.default_rng(33)
+        game = sample_game(n, D, SeedSpec(33))
+        ids = rng.permutation(n)
+        members, remainder = ids[:200], ids[200:]
+        merged = PartialPartition(n, [members[i:i + 5].tolist() for i in range(0, 200, 5)])
+        ledgers = RevelationLedger(n), RevelationLedger(n)
+        for ledger in ledgers:
+            ledger.record_block(2, np.sort(remainder)[:fall_back], members)
+        for _ in range(60):
+            src, dst = rng.choice(remainder, 2), rng.choice(members, 3)
+            for ledger in ledgers:
+                ledger.record_block(2, src, dst)
+                ledger.record_block(2, dst[:1], src)
+                record1(ledger, int(src[0]), int(dst[1]), BELOW)
+        got_ledger, ref_ledger = ledgers
+        partition, ok = complete_partition(game, merged, set(remainder.tolist()), got_ledger)
+        want_partition, want_ok, placements = complete_reference(game, merged, remainder,
+                                                                 ref_ledger)
+        assert sum(best is None for _a, best, _ok in placements) == 80
+        # Every placed agent is satisfied without fall-backs, yet the leftovers fail stage 3.
+        satisfied = {sat for _a, best, sat in placements if best is not None}
+        assert satisfied == ({True, False} if fall_back else {True})
+        assert not want_ok
+        assert (partition, ok) == (want_partition, want_ok)
+        assert got_ledger == ref_ledger
+
+    def test_run_three_stage_detailed_against_reference(self):
+        # 36 merged coalitions and 112 remainder agents.
+        n = 400
+        cfg = AlgoConfig(num_groups=4, edge_threshold=0.3, compat_constant=0.5,
+                         clique_size_rule=lambda m: 2)
+        game = sample_game(n, D, SeedSpec(7000))
+        det = run_three_stage_detailed(game, cfg)
+        remainder = [a for a, _best, _ok in det.placements]
+        assert len(det.merged) == 36 and len(remainder) == 112
+        ledger = RevelationLedger(n)  # det's stage-1 and stage-2 codes
+        flat = det.ledger._codes.reshape(-1)
+        keys = np.flatnonzero((flat != 0) & (flat != 4))
+        ledger._write(_write_codes, keys, flat[keys])
+        partition, ok, placements = complete_reference(game, det.merged, remainder, ledger)
+        assert (det.partition, det.report.stage3_success) == (partition, ok)
+        assert det.placements == tuple(placements)
+        assert det.ledger == ledger
+
+
+class TestAttemptColumns:
+    """``det.attempts``, built from stage 2's columns, replayed through the public gate."""
+
+    @staticmethod
+    def replay(game, cfg, det, ledger):
+        """``is_compatible`` on each attempt's candidate and union, rebuilt from the records."""
+        g = cfg.num_groups
+        avail = [list(pp.coalitions) for pp in det.clique_partitions]
+        flags, merged, round_index = [], [], None
+        for att in det.attempts:
+            if att.round_index != round_index:
+                round_index, union, picks = att.round_index, list(avail[0][0]), [0]
+            cand = avail[att.group][att.candidate_index]
+            flags.append(is_compatible(game, cand, union, att.position, cfg, ledger))
+            if att.success:
+                union = sorted(union + list(cand))
+                picks.append(att.candidate_index)
+            if len(picks) == g:
+                for kk, idx in enumerate(picks):
+                    avail[kk].pop(idx)
+                merged.append(tuple(union))
+                picks = []
+        return flags, merged
+
+    @pytest.mark.parametrize("compat", [0.25, 2.0])
+    def test_success_flags_and_stage2_ledger(self, compat):
+        n = 400
+        cfg = AlgoConfig(num_groups=4, edge_threshold=0.5, compat_constant=compat,
+                         clique_size_rule=lambda m: 2)
+        game = sample_game(n, D, SeedSpec(2020))
+        det = run_three_stage_detailed(game, cfg)
+        ledger = RevelationLedger(n)
+        flags, merged = self.replay(game, cfg, det, ledger)
+        assert flags == [att.success for att in det.attempts]
+        assert merged == list(det.merged.coalitions)
+        assert len(merged) > 0 and (compat == 2.0 or not all(flags))
+        want = {pair: code for pair, code in codes_of(det.ledger).items() if code[0] == 2}
+        assert codes_of(ledger) == want
 
 
 class TestLedgerInputs:

@@ -49,13 +49,16 @@ def sweep():
 def test_sweep_matches_pinned_digests():
     expected = DATA.read_text().splitlines()
     assert len(expected) == len(SWEEP)
-    long_sums = 0
+    long_sums = out_of_coalitions = 0
     for want, (got, det) in zip(expected, sweep()):
         assert got == want
         s = det.report.clique_size
         # An attempt whose first test passed summed (k-1)*s terms per candidate agent.
         long_sums += sum(a.pair_units > (a.position - 1) * s >= 8 for a in det.attempts)
+        # Stage 3 placed one agent per coalition and left the rest as singletons.
+        out_of_coalitions += 0 < det.report.merged_count < len(det.placements)
     assert long_sums > 0
+    assert out_of_coalitions > 0
 
 
 if __name__ == "__main__":
