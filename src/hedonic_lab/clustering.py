@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import HedonicGame, InvalidAgentError, PartialPartition, Partition, PartitionError
+from .games import HedonicGame, PartialPartition, Partition, PartitionError, _agent_ids
 
 __all__ = [
     "DEFAULT_MERGE_FAILURE_EXPONENT",
@@ -109,7 +109,7 @@ class AlgoConfig:
 
     def clique_size(self, n: int) -> int:
         rule = self.clique_size_rule or default_clique_size
-        s = int(rule(n))
+        s = index(rule(n))
         if s < 1:
             raise ValueError(f"clique size rule returned {s} for n={n}; need >= 1")
         return s
@@ -200,29 +200,17 @@ class RevelationLedger:
         """Log ``write(codes, *args)``, replayed into the code matrix on the next read."""
         self._log.append((write, args))
 
-    def _agents(self, agents: Iterable[int]) -> np.ndarray:
-        """Agent ids as an index array, each checked to lie in 0..n-1."""
-        if isinstance(agents, (np.ndarray, list, tuple)):
-            arr = np.asarray(agents, dtype=np.intp).reshape(-1)
-        else:
-            arr = np.fromiter(agents, dtype=np.intp)
-        # Negative ids wrap to huge unsigned values, so one bound covers both ends.
-        if arr.size and arr.view(np.uintp).max() >= self.n:
-            bad = arr[(arr < 0) | (arr >= self.n)][0]
-            raise InvalidAgentError(f"agent id {bad} outside 0..{self.n - 1}")
-        return arr
-
     def record_block(self, stage: int, sources: Iterable[int], targets: Iterable[int]) -> None:
         """Bulk-record the raw cross product sources x targets for stage 2 or 3."""
         if stage not in (2, 3):
             raise ValueError("record_block is for raw stage-2/3 observations")
-        keys = self._agents(sources)[:, None] * self.n + self._agents(targets)
+        keys = _agent_ids(sources, self.n)[:, None] * self.n + _agent_ids(targets, self.n)
         self._write(_write_codes, keys.reshape(-1), _STAGE_CODES[stage][0])
 
     def stage2_between(self, agent: int, members: Iterable[int]) -> bool:
         """Whether any stage-2 entry links ``agent`` with one of ``members`` (either direction)."""
-        self._agents((agent,))
-        m = self._agents(members)
+        _agent_ids((agent,), self.n)
+        m = _agent_ids(members, self.n)
         codes = self._codes
         return bool(((codes[agent, m] == _STAGE2) | (codes[m, agent] == _STAGE2)).any())
 
@@ -353,12 +341,10 @@ def greedy_cliques(game: HedonicGame, carrier: Iterable[int], size: int, thresho
     observed classes taken from the table then.
     """
     _check_ledger(game, ledger)
-    if size < 1:
+    if index(size) < 1:
         raise ValueError("size must be at least 1")
     U = game.utilities
-    R = np.array(sorted(set(carrier)), dtype=np.intp).tolist()
-    if R and (R[0] < 0 or R[-1] >= game.n):
-        game.check_agent(R[0] if R[0] < 0 else R[-1])
+    R = sorted(set(_agent_ids(carrier, game.n).tolist()))
     entry = memoryview(U)  # entry[a, b]: U[a, b] as a Python float, nothing copied
     blocks: list[tuple[int, ...]] = []
     steps: list[tuple[tuple[int, ...], list[int]]] = []  # (members, candidates scanned)
@@ -412,15 +398,12 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     equals the NumPy row sum of the same entries bit for bit.  ``candidate`` and
     ``merged`` must be disjoint: a shared agent raises ``PartitionError``.
     """
-    if k < 2:
+    if index(k) < 2:
         raise ValueError("merge rounds start at k=2")
     _check_ledger(game, ledger)
-    cand = np.array(sorted(set(candidate)), dtype=np.intp).tolist()
-    merged_list = np.array(sorted(set(merged)), dtype=np.intp).tolist()
     n = game.n
-    for ids in (cand, merged_list):
-        if ids and (ids[0] < 0 or ids[-1] >= n):
-            raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
+    cand = sorted(set(_agent_ids(candidate, n).tolist()))
+    merged_list = sorted(set(_agent_ids(merged, n).tolist()))
     shared = set(cand).intersection(merged_list)
     if shared:
         raise PartitionError(f"candidate and merged share agents {sorted(shared)[:5]}")
@@ -575,23 +558,15 @@ def _greedy_cluster_detailed(game: HedonicGame, partitions: list[PartialPartitio
                              config: AlgoConfig
                              ) -> tuple[PartialPartition, set[int],
                                         tuple[tuple[tuple[int, ...], ...], ...], _Stage2Trace]:
-    """``greedy_cluster`` without a ledger, returning what its views are derived from.
+    """``greedy_cluster`` without a ledger or input checks, returning what its
+    views are derived from.
 
-    Returns (merged, remainder, composition, trace): each merged coalition's
-    cliques and the columns of every attempt.
+    ``partitions`` are at least two pairwise disjoint partial partitions of
+    the game's agents.  Returns (merged, remainder, composition, trace): each
+    merged coalition's cliques and the columns of every attempt.
     """
     g = len(partitions)
-    if g < 2:
-        raise ValueError("need at least two partial partitions to merge")
-    carriers = [p.carrier for p in partitions]
-    for i in range(g):
-        for j in range(i + 1, g):
-            if carriers[i] & carriers[j]:
-                raise PartitionError("partial partitions must be pairwise disjoint")
-
     n = game.n
-    if max((max(c) for c in carriers if c), default=-1) >= n:
-        raise InvalidAgentError(f"agent ids must lie in 0..{n - 1}")
     entry = memoryview(game.utilities)
     s = config.clique_size(n)
     thresholds = [_compat_thresholds(config, s, kk + 1) for kk in range(g)]
@@ -656,6 +631,11 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     every revealed entry is logged to it at the end.
     """
     _check_ledger(game, ledger)
+    if len(partitions) < 2:
+        raise ValueError("need at least two partial partitions to merge")
+    ids = _agent_ids(chain.from_iterable(p.carrier for p in partitions), game.n)
+    if np.unique(ids).size < ids.size:
+        raise PartitionError("partial partitions must be pairwise disjoint")
     merged, remainder, _composition, trace = _greedy_cluster_detailed(game, partitions, config)
     if ledger is not None:
         ledger._write(trace.write)
@@ -678,12 +658,9 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
     stage-3 observations are logged to it at the end, each to land in a pair
     that no earlier stage revealed.
     """
-    rem = sorted(set(map(index, remainder)))  # Python ints, as the trusted blocks need
-    for a in rem:
-        game.check_agent(a)
+    rem = sorted(set(_agent_ids(remainder, game.n).tolist()))  # Python ints for the blocks
     carrier = merged.carrier
-    if max(carrier, default=-1) >= game.n:
-        raise InvalidAgentError(f"agent ids must lie in 0..{game.n - 1}")
+    _agent_ids(carrier, game.n)
     overlap = carrier.intersection(rem)
     if overlap:
         raise PartitionError(f"remainder overlaps the merged carrier: {sorted(overlap)[:5]}")
@@ -691,7 +668,7 @@ def complete_partition(game: HedonicGame, merged: PartialPartition,
         raise PartitionError("merged carrier plus remainder must cover all agents")
     _check_ledger(game, ledger)
     partition, success, stage3 = _complete_with_trace(game, merged, rem, [], ledger=ledger)
-    if ledger is not None and stage3 is not None:
+    if ledger is not None:
         ledger._write(_write_stage3, *stage3)
     return partition, success
 
@@ -750,17 +727,17 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     s = config.clique_size(n)
     tau = config.edge_threshold
 
-    groups = tuple(tuple(range(j, n, g)) for j in range(g))  # round robin, sizes within one
+    ranges = [range(j, n, g) for j in range(g)]  # round robin, sizes within one
     ledger = RevelationLedger(n)
-    stage1_out = [greedy_cliques(game, groups[j], s, tau, ledger) for j in range(g)]
+    stage1_out = [greedy_cliques(game, r, s, tau, ledger) for r in ranges]
 
     cliques = tuple(out[0] for out in stage1_out)
     rem1 = tuple(tuple(sorted(out[1])) for out in stage1_out)
 
+    # The flags need no block-size check: ``greedy_cliques`` returns only full
+    # cliques of size s, and stage 2 merges exactly one clique per group.
     cap1 = config.stage1_cap(n)
-    stage1_success = all(
-        all(len(block) == s for block in cliques[j].coalitions) and len(rem1[j]) <= cap1
-        for j in range(g))
+    stage1_success = all(len(r) <= cap1 for r in rem1)
 
     merged, remainder2, composition, stage2 = _greedy_cluster_detailed(
         game, list(cliques), config)
@@ -768,17 +745,14 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     rem2 = tuple(sorted(remainder2))
 
     all_remainder = sorted(set().union(*map(set, rem1), remainder2))
-    balanced = all(len(block) == g * s for block in merged.coalitions)
-    stage2_success = (stage1_success and balanced
-                      and len(all_remainder) <= config.stage2_cap(n))
+    stage2_success = stage1_success and len(all_remainder) <= config.stage2_cap(n)
 
     # Stage 3, run once: place the remainder and record each agent's placement.
     placements: list[tuple[int, int | None, bool]] = []
     partition, stage3_success, stage3 = _complete_with_trace(
         game, merged, all_remainder, placements,
         links=stage2.links(len(merged)))
-    if stage3 is not None:
-        ledger._write(_write_stage3, *stage3)
+    ledger._write(_write_stage3, *stage3)
 
     histogram: dict[int, int] = {}
     for block in partition.coalitions:
@@ -801,7 +775,7 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
         partition=partition,
         report=report,
         ledger=ledger,
-        groups=groups,
+        groups=tuple(map(tuple, ranges)),
         clique_partitions=cliques,
         group_remainders=rem1,
         merged=merged,
@@ -812,27 +786,19 @@ def run_three_stage_detailed(game: HedonicGame, config: AlgoConfig) -> ThreeStag
     )
 
 
-def _complete_with_trace(game, merged, remainder, placements_out, *, ledger=None, links=None):
+def _complete_with_trace(game, merged, rem, placements_out, *, ledger=None, links=None):
     """complete_partition with a per-agent placement trace appended to ``placements_out``.
 
-    The stage-2 links come from ``ledger``'s codes, or from ``links``, the
+    ``rem`` is the remainder as a sorted list of unique Python ints.  The
+    stage-2 links come from ``ledger``'s codes, or from ``links``, the
     (agent, coalition index) arrays of ``_Stage2Trace.links``; with neither,
     every coalition is open to every agent.  Each placement uses up one
     coalition, so only the first ``len(merged)`` remainder agents are placed
     and only their utilities and links are gathered; the rest become
     singletons.  Returns (partition, success, stage3), where stage3 is
-    ``_write_stage3``'s arguments after the code matrix, or None when there
-    was nothing to examine.
+    ``_write_stage3``'s arguments after the code matrix.
     """
     n = game.n
-    rem = sorted(set(remainder))
-    if len(merged) == 0:
-        for a in rem:
-            placements_out.append((a, None, False))
-        return Partition.singletons(n), False, None
-    if not rem:
-        return Partition(n, merged.coalitions, _trusted=True), True, None
-
     blocks = list(merged.coalitions)
     nb = len(blocks)
     placed, singles = rem[:nb], rem[nb:]

@@ -30,7 +30,7 @@ __all__ = [
 
 
 class InvalidAgentError(ValueError):
-    """An agent id outside ``0..n-1`` was supplied."""
+    """An agent id that is not an integer in ``0..n-1`` was supplied."""
 
 
 class PartitionError(ValueError):
@@ -88,8 +88,7 @@ class HedonicGame:
         return float(self._u[a, b])
 
     def check_agent(self, a: int) -> None:
-        if not 0 <= a < self.n:
-            raise InvalidAgentError(f"agent id {a} outside 0..{self.n - 1}")
+        _agent_ids((a,), self.n)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "utilities": self._u.tolist()}
@@ -129,6 +128,31 @@ def _agent_id(a) -> int:
     if isinstance(a, bool):  # ``operator.index`` would take True and False as 1 and 0
         raise TypeError(f"agent id {a!r} is a bool")
     return operator.index(a)
+
+
+def _agent_ids(ids: Iterable[int], n: int) -> np.ndarray:
+    """``ids`` as an ``intp`` array in input order, each an agent id of an ``n``-agent game.
+
+    An id must be an integer, Python or NumPy, in ``0..n-1``; a bool, any
+    other non-integer (float and bool arrays too) or an id out of range
+    raises ``InvalidAgentError``.  A ``range`` becomes ``np.arange``.
+    """
+    if isinstance(ids, range):
+        arr = np.arange(ids.start, ids.stop, ids.step, dtype=np.intp)
+    elif isinstance(ids, np.ndarray):
+        if ids.dtype.kind not in "iu":
+            raise InvalidAgentError(f"agent ids must be integers, not {ids.dtype}")
+        arr = ids.astype(np.intp).reshape(-1)
+    else:
+        try:
+            arr = np.fromiter(map(_agent_id, ids), dtype=np.intp)
+        except (TypeError, OverflowError) as exc:
+            raise InvalidAgentError(f"agent ids must be integers in 0..{n - 1}: {exc}") from None
+    # Negative ids wrap to huge unsigned values, so one bound covers both ends.
+    if arr.size and arr.view(np.uintp).max() >= n:
+        bad = arr[(arr < 0) | (arr >= n)][0]
+        raise InvalidAgentError(f"agent id {bad} outside 0..{n - 1}")
+    return arr
 
 
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -337,13 +361,6 @@ class Deviation:
         return f"Deviation(agent={self.agent}, target={tgt})"
 
 
-def _check_coalition(game: HedonicGame, coalition: Iterable[int]) -> tuple[int, ...]:
-    ids = tuple(coalition)
-    for b in ids:
-        game.check_agent(b)
-    return ids
-
-
 def coalition_utility(game: HedonicGame, agent: int, coalition: Iterable[int]) -> float:
     """Sum of ``agent``'s utilities for the members of ``coalition``.
 
@@ -351,7 +368,7 @@ def coalition_utility(game: HedonicGame, agent: int, coalition: Iterable[int]) -
     member; the empty sum is 0.
     """
     game.check_agent(agent)
-    ids = _check_coalition(game, coalition)
+    ids = _agent_ids(coalition, game.n).tolist()
     row = game.utilities[agent]
     return float(sum(row[b] for b in ids if b != agent))
 
@@ -363,7 +380,7 @@ def favor_in(game: HedonicGame, coalition: Iterable[int], agent: int) -> set[int
     for the agent.
     """
     game.check_agent(agent)
-    ids = _check_coalition(game, coalition)
+    ids = _agent_ids(coalition, game.n).tolist()
     col = game.utilities[:, agent]
     return {b for b in ids if b != agent and col[b] > 0}
 
@@ -371,7 +388,7 @@ def favor_in(game: HedonicGame, coalition: Iterable[int], agent: int) -> set[int
 def favor_out(game: HedonicGame, coalition: Iterable[int], agent: int) -> set[int]:
     """Members of ``coalition`` strictly preferring ``agent`` outside."""
     game.check_agent(agent)
-    ids = _check_coalition(game, coalition)
+    ids = _agent_ids(coalition, game.n).tolist()
     col = game.utilities[:, agent]
     return {b for b in ids if b != agent and col[b] < 0}
 

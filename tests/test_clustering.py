@@ -20,7 +20,7 @@ from hedonic_lab.clustering import (
 from hedonic_lab.clustering import (_AT_LEAST, _BELOW, _admit, _compat_thresholds, _row_sum,
                                     _write_codes)
 from hedonic_lab.games import (HedonicGame, InvalidAgentError, PartialPartition, Partition,
-                               PartitionError)
+                               PartitionError, _agent_ids)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 
 D = UtilityDistribution(-1, 1)
@@ -28,7 +28,7 @@ D = UtilityDistribution(-1, 1)
 
 def record1(ledger, src, dst, cls):
     """Log one stage-1 observation of u_src(dst), as ``greedy_cliques`` logs its checks."""
-    ledger._agents((src, dst))
+    _agent_ids((src, dst), ledger.n)
     code = _BELOW if cls is ValueClass.BELOW_TAU else _AT_LEAST
     ledger._write(_write_codes, np.array([src * ledger.n + dst]), code)
 
@@ -85,6 +85,15 @@ class TestConfig:
     def test_accepts_integer_like_num_groups(self):
         assert AlgoConfig(num_groups=np.int64(4)).num_groups == 4
 
+    @pytest.mark.parametrize("s", [2.7, 2.0, "2", None])
+    def test_rejects_clique_size_rule_that_is_not_an_integer(self, s):
+        cfg = AlgoConfig(num_groups=2, clique_size_rule=lambda n: s)
+        with pytest.raises(TypeError):
+            cfg.clique_size(40)
+        with pytest.raises(TypeError):
+            run_three_stage(sample_game(40, D, SeedSpec(5)), cfg)
+        assert AlgoConfig(clique_size_rule=lambda n: np.int64(2)).clique_size(40) == 2
+
 
 class TestGreedyCliques:
     def test_two_pair_hand_trace(self):
@@ -119,6 +128,14 @@ class TestGreedyCliques:
                         if a != b:
                             assert U[a, b] >= 0.5
             assert set().union(*map(set, pp.coalitions)) | rem == set(range(120))
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2"])
+    def test_rejects_size_that_is_not_an_integer(self, size):
+        g = sample_game(40, D, SeedSpec(5))
+        with pytest.raises(TypeError):
+            greedy_cliques(g, range(40), size, 0.1)
+        assert greedy_cliques(g, range(40), np.int64(2), 0.1) == greedy_cliques(
+            g, range(40), 2, 0.1)
 
     def test_early_return_keeps_partial_clique_in_remainder(self):
         # 0 and 1 like each other but nobody completes a second clique.
@@ -267,6 +284,13 @@ class TestIsCompatible:
         g = game_from({}, 4)
         with pytest.raises(ValueError):
             is_compatible(g, (2, 3), (0, 1), 1, self.CFG)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_rejects_round_that_is_not_an_integer(self, k):
+        g = game_from({}, 4, default=0.2)
+        with pytest.raises(TypeError):
+            is_compatible(g, (2, 3), (0, 1), k, self.CFG)
+        assert is_compatible(g, (2, 3), (0, 1), np.int64(2), self.CFG)
 
     def test_rejects_shared_agent(self):
         g = game_from({}, 4, default=0.2)
@@ -977,6 +1001,7 @@ class TestLedgerInputs:
         (range(1, 4, 2), range(0, 3, 2)),
         ((a for a in (1, 3)), (b for b in (0, 2))),
         (np.array([1, 3]), np.array([0, 2], dtype=np.int32)),
+        (np.array([1, 3], dtype=np.uint8), np.array([[0], [2]], dtype=np.int64)),
         ([1, 3], (0, 2)),
     ])
     def test_record_block_accepts_any_iterable(self, sources, targets):
@@ -986,7 +1011,8 @@ class TestLedgerInputs:
         assert ledger.count_by_stage() == {1: 0, 2: 4, 3: 0}
 
     @pytest.mark.parametrize("members", [
-        {2, 3}, range(2, 4), (m for m in (2, 3)), np.array([2, 3]), [3, 2]])
+        {2, 3}, range(2, 4), (m for m in (2, 3)), np.array([2, 3]), [3, 2],
+        np.array([3, 2], dtype=np.uint8)])
     def test_stage2_between_accepts_any_iterable(self, members):
         ledger = RevelationLedger(5)
         ledger.record_block(2, [4], [2])

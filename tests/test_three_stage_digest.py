@@ -49,16 +49,22 @@ def sweep():
 def test_sweep_matches_pinned_digests():
     expected = DATA.read_text().splitlines()
     assert len(expected) == len(SWEEP)
-    long_sums = out_of_coalitions = 0
+    long_sums = out_of_coalitions = nothing_merged = nothing_left = 0
     for want, (got, det) in zip(expected, sweep()):
         assert got == want
         s = det.report.clique_size
+        merged = det.report.merged_count
         # An attempt whose first test passed summed (k-1)*s terms per candidate agent.
         long_sums += sum(a.pair_units > (a.position - 1) * s >= 8 for a in det.attempts)
         # Stage 3 placed one agent per coalition and left the rest as singletons.
-        out_of_coalitions += 0 < det.report.merged_count < len(det.placements)
+        out_of_coalitions += 0 < merged < len(det.placements)
+        # Stage 3 had no coalition to place into, or no agent to place.
+        nothing_merged += merged == 0
+        nothing_left += merged > 0 and not det.placements
     assert long_sums > 0
     assert out_of_coalitions > 0
+    assert nothing_merged > 0
+    assert nothing_left > 0
 
 
 if __name__ == "__main__":
