@@ -98,9 +98,9 @@ class HedonicGame:
         if not isinstance(data, dict):
             raise ValueError(f"a game must be a JSON object, not {type(data).__name__}")
         try:
-            n = int(data["n"])
+            n = _agent_id(data["n"])  # the same rule as an id: no bool, float or str
         except TypeError:
-            raise ValueError(f"n must be a number, not {data['n']!r}") from None
+            raise ValueError(f"n must be an integer, not {data['n']!r}") from None
         arr = np.array(data["utilities"], dtype=float)
         if arr.shape != (n, n):
             raise ValueError(f"utilities shape {arr.shape} does not match n={n}")
@@ -282,11 +282,19 @@ class Partition(_Blocks):
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        """Build a partition from per-agent block labels, blocks ordered by first occurrence."""
+        """Build a partition from per-agent block labels, blocks ordered by first occurrence.
+
+        A label must be an integer, Python or NumPy; a bool, a float or any
+        other non-integer raises ``PartitionError``.
+        """
         if len(labels) < 1:
             raise PartitionError("n must be positive")
         relabel: dict[int, int] = {}
-        assignment = tuple([relabel.setdefault(int(lab), len(relabel)) for lab in labels])
+        try:
+            assignment = tuple([relabel.setdefault(_agent_id(lab), len(relabel))
+                                for lab in labels])
+        except TypeError as exc:
+            raise PartitionError(f"block labels must be integers: {exc}") from None
         blocks: list[list[int]] = [[] for _ in relabel]
         for a, i in enumerate(assignment):
             blocks[i].append(a)

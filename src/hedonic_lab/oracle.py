@@ -1,9 +1,12 @@
 """Exhaustive ground truth for small games.
 
-Set partitions are enumerated as restricted growth strings (RGS).
-``rgs_strings`` mutates one list in place and allocates nothing per string;
-``enumerate_partitions`` builds one ``Partition`` per yield, its blocks and
-the RGS itself as the partition's assignment tuple.  ``exists_stable`` and
+Set partitions are enumerated as restricted growth strings (RGS), in the
+order of Knuth, TAOCP 4A §7.2.1.5.  ``rgs_strings`` mutates one list in
+place and allocates nothing per string.  ``enumerate_partitions`` builds each
+partition from its (n-1)-agent prefix: a prefix's children follow one another
+with last labels 0..m, so the prefix's block tuples are built once, and each
+child only joins agent n-1 to block c or opens block m.  The RGS itself is
+kept as the partition's assignment tuple.  ``exists_stable`` and
 ``count_stable`` share one scan that calls ``check`` once per partition.
 Counting uses exact integer arithmetic throughout.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .games import HedonicGame, Partition
+from .games import HedonicGame, Partition, _agent_id
 from .stability import Concept, check
 
 __all__ = [
@@ -54,6 +57,14 @@ def rgs_strings(n: int) -> Iterator[list[int]]:
             b[j] = nb
 
 
+def _integer(value, name: str) -> int:
+    """``value`` by the rule for agent ids: a bool, a float or any other non-integer raises."""
+    try:
+        return _agent_id(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
+
+
 def _guard(n: int, limit: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
@@ -67,27 +78,43 @@ def enumerate_partitions(n: int, k: int | None = None, *,
     """Every set partition of ``{0..n-1}``, in restricted-growth-string order.
 
     With ``k`` given, only partitions with exactly ``k`` blocks are yielded.
+    ``n`` and ``k`` must be integers; a bool or a float raises ``TypeError``.
     """
+    n = _integer(n, "n")
     _guard(n, limit)
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
+    if k is not None:
+        k = _integer(k, "k")
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} outside 1..{n}")
+    last = n - 1
     for labels in rgs_strings(n):
-        nblocks = max(labels) + 1
-        if k is not None and nblocks != k:
+        c = labels[last]
+        if c == 0:
+            # The first child of a new prefix: build the prefix's m blocks once.
+            prefix: list[list[int]] = []
+            for a in range(last):
+                if labels[a] == len(prefix):
+                    prefix.append([a])
+                else:
+                    prefix[labels[a]].append(a)
+            base = tuple([tuple(blk) for blk in prefix])
+            m = len(base)
+        if k is not None and m + (c == m) != k:
             continue
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for a, lab in enumerate(labels):
-            blocks[lab].append(a)
-        # A tuple built from a list, not from an iterator: growing and shrinking
-        # one per partition raised peak RSS by ~0.8 MB over one n=9 enumeration.
-        yield Partition._from_assignment(tuple([tuple(blk) for blk in blocks]), tuple(labels))
+        if c == m:
+            blocks = base + ((last,),)
+        else:
+            blocks = base[:c] + (base[c] + (last,),) + base[c + 1:]
+        yield Partition._from_assignment(blocks, tuple(labels))
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), exact.
 
-    ``k > n`` returns 0 by convention.
+    ``k > n`` returns 0 by convention.  ``n`` and ``k`` must be integers; a
+    bool or a float raises ``TypeError``.
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if k > n:

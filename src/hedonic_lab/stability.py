@@ -13,6 +13,7 @@ O(``_TILE_ROWS`` * n) extra memory; its sums are bit-identical to a single
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +78,44 @@ class Verdict:
             raise ValueError("stable verdicts carry no witness, unstable ones must")
 
 
+# Members as module names, so that ``check`` decides a concept's rules by
+# identity tests (hashing an Enum member runs Python code); Nash is the rest.
+_INDIVIDUAL, _IR = Concept.INDIVIDUAL, Concept.INDIVIDUALLY_RATIONAL
+_CNS, _CIS = Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL
+_ENTER, _EXIT = Concept.ENTER_DENIED, Concept.EXIT_DENIED
+
+# Verdicts are frozen, so one object per witness serves every call.
+_STABLE = Verdict(True)
+
+
+@functools.lru_cache(maxsize=1024)
+def _moves(agent: int, target: int | None) -> Verdict:
+    """The failing verdict whose witness is ``Deviation(agent, target)``."""
+    return Verdict(False, Deviation(agent, target))
+
+
+@functools.lru_cache(maxsize=1024)
+def _denied(agent: int, coalition: int) -> Verdict:
+    """The failing verdict whose witness is the pair ``(agent, coalition)``."""
+    return Verdict(False, (agent, coalition))
+
+
 def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     """Decide ``concept`` for the pair, returning the first witness when it fails.
 
     Witness order is deterministic: lowest agent id first, then lowest target
-    coalition index, with the fresh-singleton move last.  Each agent's block is
-    read from the partition's assignment tuple.  One pass per agent reads its
-    utility row once as Python floats; the favour tests read single entries of
-    its column, through a memoryview of the table, only until they are
-    decided.  Memory stays O(n).  The scans are plain loops: each coalition
-    sum adds the members in coalition order from 0, exactly as
-    ``coalition_utility`` does, so every sum and every strict comparison is the
-    same as the definition's.  The favour tests may include the agent itself,
-    whose diagonal 0 is neither positive nor negative.
+    coalition index, with the fresh-singleton move last.  The concept's rules
+    are decided once per call.  Each agent's block is read from the
+    partition's assignment tuple.  One pass per agent reads its utility row
+    once as Python floats; the favour tests read single entries of its
+    column, through a memoryview of the table, only until they are decided.
+    Memory stays O(n), plus a bounded cache of failing verdicts: verdicts are
+    frozen, so every call that fails with the same witness returns the same
+    object, and every stable call the same ``Verdict(True)``.  The scans are
+    plain loops: each coalition sum adds the members in coalition order from
+    0, exactly as ``coalition_utility`` does, so every sum and every strict
+    comparison is the same as the definition's.  The favour tests may include
+    the agent itself, whose diagonal 0 is neither positive nor negative.
     """
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
@@ -99,9 +125,11 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     entry = memoryview(U)  # entry[b, a]: U[b, a] as a Python float, nothing copied
     blocks = partition.coalitions
     assignment = partition.assignment
-    needs_consent = concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL)
-    contractual = concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL)
-    vetoes = contractual or concept is Concept.EXIT_DENIED
+    exit_denied = concept is _EXIT
+    enter_denied = concept is _ENTER
+    rational = concept is _IR
+    needs_consent = concept is _INDIVIDUAL or concept is _CIS
+    vetoes = exit_denied or concept is _CNS or concept is _CIS
     for a, own_idx in enumerate(assignment):
         own = blocks[own_idx]
         if vetoes:
@@ -112,29 +140,29 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
                 if entry[b, a] > 0:
                     kept = True
                     break
-            if concept is Concept.EXIT_DENIED:
+            if exit_denied:
                 if not kept:
-                    return Verdict(False, (a, own_idx))
+                    return _denied(a, own_idx)
                 continue
             if kept:
                 continue
-        if concept is Concept.ENTER_DENIED:
+        if enter_denied:
             for j, block in enumerate(blocks):
                 if j != own_idx:
                     for b in block:
                         if entry[b, a] < 0:
                             break
                     else:
-                        return Verdict(False, (a, j))
+                        return _denied(a, j)
             continue
         row = U[a].tolist()
         current = 0
         for b in own:
             if b != a:
                 current += row[b]
-        if concept is Concept.INDIVIDUALLY_RATIONAL:
+        if rational:
             if current < 0:
-                return Verdict(False, (a, own_idx))
+                return _denied(a, own_idx)
             continue
         for j, block in enumerate(blocks):
             if j == own_idx:
@@ -148,12 +176,12 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
                         if entry[b, a] < 0:
                             break
                     else:
-                        return Verdict(False, Deviation(a, j))
+                        return _moves(a, j)
                 else:
-                    return Verdict(False, Deviation(a, j))
+                    return _moves(a, j)
         if len(own) > 1 and 0.0 > current:
-            return Verdict(False, Deviation(a, NEW_SINGLETON))
-    return Verdict(True)
+            return _moves(a, NEW_SINGLETON)
+    return _STABLE
 
 
 def _own_favour(U: np.ndarray, labels: np.ndarray, order: np.ndarray,

@@ -93,6 +93,14 @@ def test_game_file_holding_a_list_is_input_error(tmp_path, capsys, argv):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2.9, True])
+def test_game_file_with_a_non_integer_n_is_input_error(tmp_path, capsys, n):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": n, "utilities": RUN_AND_CHASE.to_dict()["utilities"]}))
+    assert main(["oracle", "--game", str(gpath), "--concept", "nash"]) == 2
+    assert "n must be an integer" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_no_nash_for_run_and_chase(self, chase_path, capsys):
         code, out = run_cli(capsys, "oracle", "--game", chase_path,

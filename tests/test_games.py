@@ -43,10 +43,15 @@ class TestHedonicGame:
         with pytest.raises(ValueError, match="populated"):
             HedonicGame([[0.0, np.nan], [1.0, 0.0]])
 
-    @pytest.mark.parametrize("n", [[2], None, {"n": 2}])
-    def test_from_dict_rejects_a_non_numeric_n(self, n):
-        with pytest.raises(ValueError, match="n must be a number"):
+    @pytest.mark.parametrize("n", [[2], None, {"n": 2}, 2.9, 2.0, True, "2"])
+    def test_from_dict_rejects_a_non_integer_n(self, n):
+        # int(2.9) once loaded a 2-agent game.
+        with pytest.raises(ValueError, match="n must be an integer"):
             HedonicGame.from_dict({"n": n, "utilities": [[0.0, 1.0], [1.0, 0.0]]})
+
+    def test_from_dict_takes_a_numpy_integer_n(self):
+        game = HedonicGame.from_dict({"n": np.int64(2), "utilities": [[0.0, 1.0], [1.0, 0.0]]})
+        assert game == HedonicGame([[0.0, 1.0], [1.0, 0.0]])
 
     def test_utilities_read_only(self):
         g = RUN_AND_CHASE
@@ -163,6 +168,21 @@ class TestPartition:
     def test_from_labels_first_occurrence_order(self):
         p = Partition.from_labels([7, 1, 7, 1])
         assert p.coalitions == ((0, 2), (1, 3))
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1.5, 1.2, True], [0, 1.0], [True, False], [0, "1"], [0, None],
+        np.array([0.0, 1.0]), np.array([True, False])])
+    def test_from_labels_rejects_non_integer_labels(self, labels):
+        # int(lab) once truncated 1.5 and 1.2 to the same block and took True as 1.
+        with pytest.raises(PartitionError, match="labels must be integers"):
+            Partition.from_labels(labels)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_from_labels_takes_numpy_integer_labels(self, dtype):
+        p = Partition.from_labels(np.array([2, 0, 2, 5], dtype=dtype))
+        assert p == Partition.from_labels([2, 0, 2, 5])
+        assert p.assignment == (0, 1, 0, 2)
+        assert {type(i) for i in p.assignment} == {int}
 
     def test_json_round_trip(self, tmp_path):
         p = Partition(4, [[0, 2], [1], [3]])

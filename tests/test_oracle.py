@@ -79,6 +79,55 @@ class TestEnumeration:
         assert sum(1 for _ in gen) == 15
 
 
+class TestPrefixBuiltPartitions:
+    """Each partition is built from its prefix; it must equal one built from its string alone."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_partition_equals_from_labels_of_its_string(self, n):
+        partitions = enumerate_partitions(n)
+        for labels, p in zip(rgs_strings(n), partitions, strict=True):
+            q = Partition.from_labels(labels)
+            assert p.coalitions == q.coalitions
+            assert p.assignment == q.assignment == tuple(labels)
+        assert next(partitions, None) is None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_k_filter_equals_filtered_sequence(self, n):
+        every = list(enumerate_partitions(n))
+        for k in range(1, n + 1):
+            got = [p.coalitions for p in enumerate_partitions(n, k)]
+            assert got == [p.coalitions for p in every if len(p) == k], k
+
+
+class TestIntegerParameters:
+    """``n`` and ``k`` are integers: a float or a bool raises ``TypeError``."""
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_enumerate_partitions_n(self, n):
+        # 2.5 once ended in a bare TypeError from [0] * 2.5; True enumerated one agent.
+        with pytest.raises(TypeError, match="n must be an integer"):
+            next(enumerate_partitions(n))
+
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_enumerate_partitions_k(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            next(enumerate_partitions(3, k=k))
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_stirling2_n(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            stirling2(n, 1)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_stirling2_k(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            stirling2(3, k)
+
+    def test_numpy_integers_are_accepted(self):
+        assert sum(1 for _ in enumerate_partitions(np.int64(4), k=np.int32(2))) == 7
+        assert stirling2(np.int64(4), np.uint8(2)) == 7
+
+
 class TestTrustedPartitions:
     """``enumerate_partitions`` skips validation; its partitions must equal validated ones."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hedonic_lab.games import (
 )
 from hedonic_lab.oracle import enumerate_partitions
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
+from hedonic_lab import stability
 from hedonic_lab.stability import (
     _TILE_ROWS,
     Concept,
@@ -131,6 +133,43 @@ class TestCheckBasics:
         g = HedonicGame([[0.0, -1.0], [1.0, 0.0]])
         v = check(g, Partition.grand(2), Concept.INDIVIDUALLY_RATIONAL)
         assert v.witness == (0, 0)
+
+
+class TestCheckDispatch:
+    """``check`` decides the concept's rules once per call and shares its verdicts."""
+
+    # TestWitnessOrder checks every member's verdicts against the definition.
+    @pytest.mark.parametrize("concept", ["nash", None, 0])
+    def test_non_member_raises_value_error(self, concept):
+        with pytest.raises(ValueError, match="unhandled concept"):
+            check(RUN_AND_CHASE, Partition.grand(2), concept)
+
+    def test_repeated_failing_checks_return_equal_verdicts(self):
+        g = sample_game(6, D, SeedSpec(41))
+        for concept in Concept:
+            first = [check(g, p, concept) for p in enumerate_partitions(6)]
+            again = [check(g, p, concept) for p in enumerate_partitions(6)]
+            assert again == first, concept
+            fresh = [Verdict(v.stable, v.witness) for v in first]
+            assert fresh == first, concept
+            assert not all(v.stable for v in first), concept
+
+    def test_verdicts_are_frozen(self):
+        for p in (Partition.grand(2), Partition.singletons(2)):
+            for concept in Concept:
+                v = check(RUN_AND_CHASE, p, concept)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    v.stable = not v.stable
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    v.witness = None
+                if isinstance(v.witness, Deviation):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        v.witness.agent = 1
+
+    def test_verdict_caches_are_bounded(self):
+        for cached in (stability._moves, stability._denied):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize <= 4096
 
 
 class TestWitnessValidity:
