@@ -137,9 +137,11 @@ class ValueClass(enum.Enum):
 
 # Ledger codes; 0 is an unseen pair.
 _BELOW, _AT_LEAST, _STAGE2, _STAGE3 = 1, 2, 3, 4
-_DECODE = (None, (1, ValueClass.BELOW_TAU), (1, ValueClass.AT_LEAST_TAU),
-           (2, ValueClass.RAW), (3, ValueClass.RAW))
 _STAGE_CODES = {1: (_BELOW, _AT_LEAST), 2: (_STAGE2,), 3: (_STAGE3,)}
+# Stage and value class of each code, indexed by the code.
+_CODE_STAGE = np.array([0, 1, 1, 2, 3])
+_CODE_CLASS = np.array([None, ValueClass.BELOW_TAU, ValueClass.AT_LEAST_TAU,
+                        ValueClass.RAW, ValueClass.RAW], dtype=object)
 
 
 def _cross_keys(sources: Sequence[Sequence[int]], targets: Sequence[Sequence[int]],
@@ -229,20 +231,26 @@ class RevelationLedger:
         self._log += other._log
 
     def entries(self, stages: Iterable[int] | None = None):
+        """``(stage, source, target, class)`` of every entry of ``stages`` (default all).
+
+        The wanted codes are the set bits of one small mask, so one shift of
+        it by each code selects the entries, in row-major key order, without
+        widening the ``int8`` matrix (a lookup table indexed by the codes
+        would).  Stages and classes are decoded as arrays.  An unknown stage
+        selects nothing.
+        """
         flat = self._codes.reshape(-1)
-        wanted = (1, 2, 3) if stages is None else set(stages)
-        mask = None
-        for stage in wanted:
+        wanted = 0
+        for stage in (1, 2, 3) if stages is None else set(stages):
             for code in _STAGE_CODES.get(stage, ()):
-                hit = flat == code
-                mask = hit if mask is None else mask | hit
-        if mask is None:
-            return
-        keys = np.flatnonzero(mask)
-        for src, dst, code in zip((keys // self.n).tolist(), (keys % self.n).tolist(),
-                                  flat[keys].tolist()):
-            stage, cls = _DECODE[code]
-            yield stage, src, dst, cls
+                wanted |= 1 << code
+        hit = np.right_shift(np.int8(wanted), flat)
+        hit &= 1
+        keys = np.flatnonzero(hit.view(bool))
+        codes = flat[keys]
+        src, dst = np.divmod(keys, self.n)
+        yield from zip(_CODE_STAGE[codes].tolist(), src.tolist(), dst.tolist(),
+                       _CODE_CLASS[codes].tolist())
 
     def count_by_stage(self) -> dict[int, int]:
         codes = self._codes

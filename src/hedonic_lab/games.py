@@ -44,9 +44,17 @@ class HedonicGame:
     stored as exactly 0 and is excluded from every aggregation, so the table
     stays rectangular without special-casing the owner.  Instances are
     immutable after construction and safe to share across threads.
+
+    ``_views`` caches, from first use, two tuples of 1-D memoryviews over the
+    read-only table: row ``a`` (``U[a, :]``) and column ``a`` (``U[:, a]``).
+    They are views, not copies: O(n) objects in all, living as long as the
+    game.  Being read-only views of a frozen table, they keep the game
+    immutable; two threads that build them at once build equal tuples, and
+    either may be kept.  Pickling and copying carry the table alone, frozen
+    again on load, so a copy builds its own views.
     """
 
-    __slots__ = ("_u",)
+    __slots__ = ("_u", "_views")
 
     def __init__(self, utilities) -> None:
         arr = np.array(utilities, dtype=float)
@@ -60,6 +68,7 @@ class HedonicGame:
             raise ValueError("diagonal self-utilities must be exactly 0")
         arr.setflags(write=False)
         self._u = arr
+        self._views = None
 
     @classmethod
     def from_validated_array(cls, arr: np.ndarray) -> "HedonicGame":
@@ -71,7 +80,20 @@ class HedonicGame:
         obj = object.__new__(cls)
         arr.setflags(write=False)
         obj._u = arr
+        obj._views = None
         return obj
+
+    def __reduce__(self):
+        # The memoryviews do not pickle, and an unpickled or deep-copied
+        # array comes back writeable: rebuild from the table, frozen again.
+        return type(self).from_validated_array, (self._u,)
+
+    @property
+    def _rows_cols(self) -> tuple[tuple[memoryview, ...], tuple[memoryview, ...]]:
+        """``(rows, cols)``: ``rows[a][b]`` and ``cols[b][a]`` read ``U[a, b]`` as a float."""
+        if self._views is None:
+            self._views = (tuple(map(memoryview, self._u)), tuple(map(memoryview, self._u.T)))
+        return self._views
 
     @property
     def n(self) -> int:
@@ -128,6 +150,17 @@ def _agent_id(a) -> int:
     if isinstance(a, bool):  # ``operator.index`` would take True and False as 1 and 0
         raise TypeError(f"agent id {a!r} is a bool")
     return operator.index(a)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, by the rule for agent ids.
+
+    A bool, a float or any other non-integer raises ``TypeError`` naming ``name``.
+    """
+    try:
+        return _agent_id(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _agent_ids(ids: Iterable[int], n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .games import HedonicGame, Partition, _agent_id
+from .games import HedonicGame, Partition, _integer
 from .stability import Concept, check
 
 __all__ = [
@@ -55,14 +55,6 @@ def rgs_strings(n: int) -> Iterator[list[int]]:
         for j in range(i + 1, n):
             a[j] = 0
             b[j] = nb
-
-
-def _integer(value, name: str) -> int:
-    """``value`` by the rule for agent ids: a bool, a float or any other non-integer raises."""
-    try:
-        return _agent_id(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _guard(n: int, limit: int) -> None:

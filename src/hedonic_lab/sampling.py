@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import HedonicGame
+from .games import HedonicGame, _integer
 
 __all__ = ["UtilityDistribution", "SeedSpec", "sample_game", "derive_trial_seed"]
 
@@ -103,12 +103,19 @@ UNIFORM_SYMMETRIC = UtilityDistribution(-1.0, 1.0)
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """(master seed, stream index): fully determines every sampled value."""
+    """(master seed, stream index): fully determines every sampled value.
+
+    Both fields are stored as Python ints; NumPy integers are taken, a bool,
+    float or any other non-integer raises ``TypeError``.  The master seed may
+    be negative, the stream index may not.
+    """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        object.__setattr__(self, "stream_index", _integer(self.stream_index, "stream_index"))
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 
@@ -122,7 +129,12 @@ class SeedSpec:
 
 
 def derive_trial_seed(master: SeedSpec, trial: int) -> SeedSpec:
-    """Stateless per-trial seed: injective in ``trial`` for a fixed master."""
+    """Stateless per-trial seed: injective in ``trial`` for a fixed master.
+
+    ``trial`` follows the rule for seeds: a bool, float or other non-integer
+    raises ``TypeError``.
+    """
+    trial = _integer(trial, "trial")
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
     return SeedSpec(master.master_seed, master.stream_index + trial)

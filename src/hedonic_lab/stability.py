@@ -106,25 +106,30 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     Witness order is deterministic: lowest agent id first, then lowest target
     coalition index, with the fresh-singleton move last.  The concept's rules
     are decided once per call.  Each agent's block is read from the
-    partition's assignment tuple.  One pass per agent reads its utility row
-    once as Python floats; the favour tests read single entries of its
-    column, through a memoryview of the table, only until they are decided.
-    Memory stays O(n), plus a bounded cache of failing verdicts: verdicts are
-    frozen, so every call that fails with the same witness returns the same
-    object, and every stable call the same ``Verdict(True)``.  The scans are
-    plain loops: each coalition sum adds the members in coalition order from
-    0, exactly as ``coalition_utility`` does, so every sum and every strict
-    comparison is the same as the definition's.  The favour tests may include
-    the agent itself, whose diagonal 0 is neither positive nor negative.
+    partition's assignment tuple.  Utilities are read one entry at a time, as
+    Python floats, through the game's row and column memoryviews, built on
+    the game's first ``check`` and kept with it: the sums index the agent's
+    row, and the favour tests its column, only until they are decided.
+    Nothing is copied per call.  Memory stays O(n), plus a bounded cache of
+    failing verdicts: verdicts are frozen, so every call that fails with the
+    same witness returns the same object, and every stable call the same
+    ``Verdict(True)``.  The scans are plain loops: each coalition sum adds
+    the members in coalition order from 0, exactly as ``coalition_utility``
+    does, so every sum and every strict comparison is the same as the
+    definition's.  The favour tests may include the agent itself, whose
+    diagonal 0 is neither positive nor negative.  A ``PartialPartition``
+    raises ``PartitionError``.
     """
-    if partition.n != game.n:
+    rows, cols = game._rows_cols
+    try:
+        assignment = partition.assignment
+    except AttributeError:
+        raise PartitionError(f"a Partition is required, not {type(partition).__name__}") from None
+    if len(assignment) != len(rows):
         raise PartitionError("partition does not match the game's agent count")
     if not isinstance(concept, Concept):
         raise ValueError(f"unhandled concept {concept}")
-    U = game.utilities
-    entry = memoryview(U)  # entry[b, a]: U[b, a] as a Python float, nothing copied
     blocks = partition.coalitions
-    assignment = partition.assignment
     exit_denied = concept is _EXIT
     enter_denied = concept is _ENTER
     rational = concept is _IR
@@ -132,12 +137,13 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
     vetoes = exit_denied or concept is _CNS or concept is _CIS
     for a, own_idx in enumerate(assignment):
         own = blocks[own_idx]
+        col = cols[a]  # col[b]: b's utility for a
         if vetoes:
             # kept: an own-coalition member wants a to stay.  That denies a's
             # exit, and under the contractual concepts vetoes every move alike.
             kept = False
             for b in own:
-                if entry[b, a] > 0:
+                if col[b] > 0:
                     kept = True
                     break
             if exit_denied:
@@ -150,12 +156,12 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
             for j, block in enumerate(blocks):
                 if j != own_idx:
                     for b in block:
-                        if entry[b, a] < 0:
+                        if col[b] < 0:
                             break
                     else:
                         return _denied(a, j)
             continue
-        row = U[a].tolist()
+        row = rows[a]
         current = 0
         for b in own:
             if b != a:
@@ -173,7 +179,7 @@ def check(game: HedonicGame, partition: Partition, concept: Concept) -> Verdict:
             if value > current:
                 if needs_consent:
                     for b in block:
-                        if entry[b, a] < 0:
+                        if col[b] < 0:
                             break
                     else:
                         return _moves(a, j)
@@ -283,6 +289,8 @@ def concept_profile(game: HedonicGame, partition: Partition) -> dict[Concept, bo
     ``reduceat`` over the whole table.  Extra memory is O(``_TILE_ROWS`` * n);
     no n x n or k x n array is built.
     """
+    if not isinstance(partition, Partition):
+        raise PartitionError(f"a Partition is required, not {type(partition).__name__}")
     if partition.n != game.n:
         raise PartitionError("partition does not match the game's agent count")
     U = game.utilities

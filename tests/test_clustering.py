@@ -1085,6 +1085,31 @@ class TestLedgerInputs:
         assert a != c
 
 
+def entries_per_code(ledger, stages):
+    """``ledger.entries(stages)`` as one ``==`` pass over the codes per wanted code."""
+    decode = {_BELOW: (1, BELOW), _AT_LEAST: (1, AT_LEAST), 3: (2, RAW), 4: (3, RAW)}
+    by_stage = {1: (_BELOW, _AT_LEAST), 2: (3,), 3: (4,)}
+    flat = ledger._codes.reshape(-1)
+    mask = np.zeros(flat.size, dtype=bool)
+    for stage in (1, 2, 3) if stages is None else stages:
+        for code in by_stage.get(stage, ()):
+            mask |= flat == code
+    return [(decode[int(flat[key])][0], int(key) // ledger.n, int(key) % ledger.n,
+             decode[int(flat[key])][1]) for key in np.flatnonzero(mask)]
+
+
+@pytest.mark.parametrize("stages", [None, set(), {1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3},
+                                    {1, 2, 3}, {4}, {0, 2}, [3, 1, 3]])
+def test_entries_select_stages_like_one_pass_per_code(stages):
+    game = sample_game(300, D, SeedSpec(23))
+    cfg = AlgoConfig(num_groups=3, edge_threshold=0.3, compat_constant=0.5)
+    ledger = run_three_stage_detailed(game, cfg).ledger
+    assert all(ledger.count_by_stage().values())  # every stage wrote
+    got = list(ledger.entries(stages))
+    assert got == entries_per_code(ledger, stages)
+    assert all(type(x) is int for entry in got for x in entry[:3])
+
+
 def test_run_three_stage_memory_at_n1000():
     # The int8 code matrix is n^2 bytes; the dict ledger it replaced peaked at
     # ~5 n^2 bytes on this game, and one n x n float temporary is 8 n^2.

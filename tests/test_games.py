@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hedonic_lab.games import (
     favor_in,
     favor_out,
 )
+from hedonic_lab.stability import Concept, check
 
 
 def game_from(entries, n):
@@ -57,6 +60,25 @@ class TestHedonicGame:
         g = RUN_AND_CHASE
         with pytest.raises(ValueError):
             g.utilities[0, 1] = 3.0
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_copies_stay_frozen_and_check_alike(self, how, checked):
+        # A pickled or deep-copied table once came back writeable, and a game
+        # holding its memoryviews would not pickle at all.
+        g = HedonicGame([[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [0.5, 0.5, 0.0]])
+        p = Partition(3, [[0, 1], [2]])
+        if checked:
+            check(g, p, Concept.NASH)
+        h = {"pickle": lambda: pickle.loads(pickle.dumps(g)),
+             "deepcopy": lambda: copy.deepcopy(g), "copy": lambda: copy.copy(g)}[how]()
+        assert h == g and type(h) is HedonicGame
+        with pytest.raises(ValueError):
+            h.utilities[0, 1] = 5.0
+        assert (h.utilities is g.utilities) == (how == "copy")
+        for concept in Concept:
+            assert check(h, p, concept) == check(g, p, concept)
+        assert g.utilities[0, 1] == -1.0
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "game.json"

@@ -97,6 +97,36 @@ class TestDeriveTrialSeed:
         assert len(set(first)) == 4096
 
 
+class TestSeedFields:
+    @pytest.mark.parametrize("args,field", [
+        ((1, True), "stream_index"), ((True,), "master_seed"), ((False, 0), "master_seed"),
+        ((2.5,), "master_seed"), ((1, 1.5), "stream_index"), ((np.float64(3),), "master_seed"),
+        (("3",), "master_seed"), ((None,), "master_seed"), ((1, 2.0), "stream_index")])
+    def test_non_integer_fields_raise_at_construction(self, args, field):
+        # True once read stream 1; a float failed only later, at ``.rng()``.
+        with pytest.raises(TypeError, match=field):
+            SeedSpec(*args)
+
+    @pytest.mark.parametrize("trial", [True, 1.0, np.float32(2), "1"])
+    def test_non_integer_trial_raises(self, trial):
+        with pytest.raises(TypeError, match="trial"):
+            derive_trial_seed(SeedSpec(1), trial)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        spec = SeedSpec(np.int64(-3), np.uint8(2))
+        assert spec == SeedSpec(-3, 2) and hash(spec) == hash(SeedSpec(-3, 2))
+        assert type(spec.master_seed) is int and type(spec.stream_index) is int
+        derived = derive_trial_seed(SeedSpec(np.int32(5)), np.int64(4))
+        assert derived == SeedSpec(5, 4) and type(derived.stream_index) is int
+
+    def test_negative_master_seed_is_allowed(self):
+        a = sample_game(6, D, SeedSpec(-7))
+        b = sample_game(6, D, SeedSpec(-7 & (2**64 - 1)))
+        assert np.array_equal(a.utilities, b.utilities)
+        with pytest.raises(ValueError):
+            SeedSpec(1, -1)
+
+
 class TestEmpiricalLaw:
     def test_ks_distance_to_uniform(self):
         rng = SeedSpec(31337).rng()

@@ -8,7 +8,9 @@ from hedonic_lab.games import (
     Deviation,
     HedonicGame,
     NEW_SINGLETON,
+    PartialPartition,
     Partition,
+    PartitionError,
     coalition_utility,
     enumerate_deviations,
     favor_in,
@@ -170,6 +172,57 @@ class TestCheckDispatch:
         for cached in (stability._moves, stability._denied):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and 0 < maxsize <= 4096
+
+    def test_partial_partition_raises_partition_error(self):
+        # Even one that covers every agent once raised a bare AttributeError.
+        for p in (PartialPartition(2, [[0, 1]]), PartialPartition(2, [[1]])):
+            for concept in Concept:
+                with pytest.raises(PartitionError, match="a Partition is required"):
+                    check(RUN_AND_CHASE, p, concept)
+            with pytest.raises(PartitionError, match="a Partition is required"):
+                concept_profile(RUN_AND_CHASE, p)
+
+
+class TestGameViews:
+    """``check`` reads through row and column memoryviews built once per game."""
+
+    def test_views_read_the_table_and_are_kept(self):
+        g = sample_game(7, D, SeedSpec(43))
+        rows, cols = g._rows_cols
+        U = g.utilities
+        for a in range(7):
+            assert rows[a].readonly and cols[a].readonly
+            assert list(rows[a]) == U[a].tolist() and list(cols[a]) == U[:, a].tolist()
+        check(g, Partition.grand(7), Concept.CONTRACTUAL_NASH)
+        again = g._rows_cols
+        assert again[0] is rows and again[1] is cols
+
+    def test_refilled_buffer_checks_like_a_fresh_copy(self):
+        n = 7
+        buf = np.empty((n, n))
+        first = sample_game(n, D, SeedSpec(44), out=buf)
+        parts = list(enumerate_partitions(n))[::37]
+        for concept in Concept:
+            check(first, Partition.grand(n), concept)  # builds the first game's views
+        second = sample_game(n, D, SeedSpec(45), out=buf)
+        assert second.utilities is buf
+        fresh = HedonicGame(buf.copy())
+        verdicts = [check(second, p, c) for p in parts for c in Concept]
+        assert verdicts == [check(fresh, p, c) for p in parts for c in Concept]
+        old = sample_game(n, D, SeedSpec(44))
+        assert verdicts != [check(old, p, c) for p in parts for c in Concept]
+
+    def test_views_at_n2000_are_views_not_copies(self):
+        # A list of Python floats per row and per column would take ~250 MB.
+        g = sample_game(2000, D, SeedSpec(46))
+        tracemalloc.start()
+        try:
+            rows, cols = g._rows_cols
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB"
+        assert len(rows) == len(cols) == 2000 and len(rows[0]) == len(cols[0]) == 2000
 
 
 class TestWitnessValidity:
