@@ -2,8 +2,10 @@
 
 Combinatorial bounds are evaluated in exact rational arithmetic before the
 final conversion to float, so Stirling-number growth never overflows or loses
-the leading digits.  The dominance checks are one-sided Monte Carlo tests, not
-proofs: an estimate is flagged only when it falls below -3 standard errors.
+the leading digits.  Counts (``n``, ``k``, ``t_terms``) are read by the
+agent-id rule: a bool or a float raises ``TypeError``.  The dominance checks
+are one-sided Monte Carlo tests, not proofs: an estimate is flagged only when
+it falls below -3 standard errors.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .games import _integer
 from .oracle import stirling2
 from .sampling import SeedSpec, UNIFORM_SYMMETRIC, derive_trial_seed
 
@@ -54,6 +57,7 @@ def grand_cns_exit_denied_prob(n: int, epsilon: float) -> float:
     other agent with positive utility for it, independently across agents:
     (1 - (1 - eps)^(n-1))^n.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= epsilon <= 1.0:
@@ -66,6 +70,7 @@ def grand_ns_lower_bound(n: int, lo: float, hi: float) -> float:
 
     Valid only for a strictly positive mean; clamped into [0, 1].
     """
+    n = _integer(n, "n")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if (lo + hi) / 2.0 <= 0.0:
@@ -90,6 +95,7 @@ def nash_partition_bound(n: int, k: int, allow_singletons: bool) -> float:
     trials) put shape (2, 6) at 4.76e-4 against this bound's 3.91e-4
     (z = +12.3 standard errors).
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     if allow_singletons:
@@ -111,6 +117,7 @@ def nash_k_composite_bound(n: int, k: int) -> float:
     measurably exceed.  Agreement with the exhaustive oracle (n <= 9) is
     empirical.
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 2 <= k <= n - 1:
         raise ValueError(f"k={k} outside 2..{n - 1}; the all-singleton and grand shapes "
                          "have their own exact expressions")
@@ -131,6 +138,7 @@ def singleton_partition_ns_probability(n: int) -> float:
     Any positive ordered utility enables a join deviation, so stability means
     all n(n-1) ordered utilities are nonpositive: (1/2)^(n(n-1)).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     return 0.5 ** (n * (n - 1))
@@ -212,6 +220,7 @@ def verify_lagrange_product_bound(s, q) -> bool:
 
 def hoeffding_tail(t_terms: int, threshold: float) -> float:
     """Hoeffding bound exp(-2 thr^2 / (4 t)) on P(sum of t U(-1,1) draws <= -thr)."""
+    t_terms = _integer(t_terms, "t_terms")
     if t_terms < 1:
         raise ValueError("t_terms must be positive")
     return math.exp(-2.0 * threshold * threshold / (4.0 * t_terms))

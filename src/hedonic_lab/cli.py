@@ -128,7 +128,10 @@ def _cmd_bounds(args) -> int:
         raise ValueError("need --formula NAME or --verify-lemmas")
     supplied = dict(kv.split("=", 1) for kv in args.params)
     kwargs = {p: _coerce(v) for p, v in supplied.items()}
-    bound = bounds_mod.evaluate_formula(args.formula, **kwargs)
+    try:
+        bound = bounds_mod.evaluate_formula(args.formula, **kwargs)
+    except TypeError as exc:  # a count given as a float or a bool
+        raise ValueError(str(exc)) from None
     print(json.dumps({"formula": args.formula, "params": kwargs,
                       "value": bound.value, "description": bound.description}))
     return 0

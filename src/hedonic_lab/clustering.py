@@ -10,8 +10,8 @@ was revealed.
 All scanning orders are fixed (ascending agent id, clique creation order), so
 identical inputs give identical outputs, ledgers included.  Stages 1 and 2
 read single entries through a memoryview of the utility table; stage 2 adds
-its sums in NumPy's order (sequentially below 8 terms, pairwise from 8), so
-each equals the NumPy row sum of the same entries bit for bit.  Each stage
+each admission sum in a plain loop in ascending id order from +0.0, so it
+equals ``coalition_utility`` of the same agent and ids bit for bit.  Each stage
 function logs what it examined to the ledger it is given once, at its end,
 from the trace it keeps anyway; the ledger builds its code matrix from that
 log only when it is read.
@@ -21,9 +21,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add, index
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,8 +104,9 @@ class AlgoConfig:
             raise ValueError("num_groups must be at least 2")
         if not 0.0 < self.edge_threshold < 1.0:
             raise ValueError("edge_threshold must lie strictly between 0 and 1")
-        if not self.compat_constant > 0.0:  # NaN too: every NaN threshold admits all
-            raise ValueError("compat_constant must be positive")
+        # NaN and inf too: a NaN or -inf threshold admits every merge.
+        if not 0.0 < self.compat_constant < math.inf:
+            raise ValueError("compat_constant must be positive and finite")
 
     def clique_size(self, n: int) -> int:
         rule = self.clique_size_rule or default_clique_size
@@ -402,9 +403,9 @@ def is_compatible(game: HedonicGame, candidate: Iterable[int], merged: Iterable[
     pairs are logged to the ledger as stage-2 raw observations.
 
     Entries are read one at a time through a memoryview of the table, and each
-    sum is added in NumPy's order (see ``_admit`` and ``_row_sum``), so a sum
-    equals the NumPy row sum of the same entries bit for bit.  ``candidate`` and
-    ``merged`` must be disjoint: a shared agent raises ``PartitionError``.
+    sum equals ``coalition_utility(game, a, ids)`` for its agent ``a`` and its
+    sorted ``ids``, bit for bit.  ``candidate`` and ``merged`` must be
+    disjoint: a shared agent raises ``PartitionError``.
     """
     if index(k) < 2:
         raise ValueError("merge rounds start at k=2")
@@ -428,58 +429,27 @@ def _compat_thresholds(config: AlgoConfig, s: int, k: int) -> tuple[float, float
     return -config.compat_constant * s, -(k - 1) * config.compat_constant * s
 
 
-def _row_sum(vals: list[float]) -> float:
-    """``np.add.reduce`` of a contiguous float64 row, in NumPy's summation order, bit for bit.
-
-    NumPy adds the row's pairwise sum to the identity +0.0.  The pairwise sum
-    runs sequentially below 8 terms; from 8 to 128 terms it keeps eight
-    strided accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and then adds the tail of fewer than 8; above 128 it splits at half the
-    length, rounded down to a multiple of 8.  NumPy starts its sequential runs
-    from -0.0; starting every run from +0.0 instead yields the identity's
-    +0.0 for an all-zero row and the same bits everywhere else.
-    """
-    n = len(vals)
-    if n < 8:
-        return reduce(add, vals, 0.0)
-    if n <= 128:
-        m = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, vals[j:m:8], 0.0) for j in range(8)]
-        return reduce(add, vals[m:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    half = n // 2
-    half -= half % 8
-    return _row_sum(vals[:half]) + _row_sum(vals[half:])
-
-
 def _admit(entry: memoryview, cand: Sequence[int], merged: Sequence[int], k: int,
            thr_cand: float, thr_merged: float) -> tuple[bool, int, int, int]:
     """``is_compatible`` on sorted, disjoint, valid ids, through a memoryview ``entry``.
 
     Returns (ok, pair units, n_eval, n_eval2): the sums evaluated reveal
-    ``merged[:n_eval] x cand`` and ``cand[:n_eval2] x merged``.  A sum of
-    fewer than 8 terms is added in a plain loop from +0.0, which is NumPy's
-    order for it; longer ones go through ``_row_sum``.
+    ``merged[:n_eval] x cand`` and ``cand[:n_eval2] x merged``.  Each sum is
+    added in a plain loop from +0.0, so it equals ``coalition_utility`` of
+    its agent and the other side's ids.
     """
-    short = len(cand) < 8
     n_eval = 0
     for n_eval, a in enumerate(merged, 1):
-        if short:
-            t = 0.0
-            for b in cand:
-                t += entry[a, b]
-        else:
-            t = _row_sum([entry[a, b] for b in cand])
+        t = 0.0
+        for b in cand:
+            t += entry[a, b]
         if t < thr_cand:
             return False, n_eval, n_eval, 0
-    short = len(merged) < 8
     n_eval2 = 0
     for n_eval2, b in enumerate(cand, 1):
-        if short:
-            t = 0.0
-            for a in merged:
-                t += entry[b, a]
-        else:
-            t = _row_sum([entry[b, a] for a in merged])
+        t = 0.0
+        for a in merged:
+            t += entry[b, a]
         if t < thr_merged:
             return False, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
     return True, n_eval + n_eval2 * (k - 1), n_eval, n_eval2
@@ -634,7 +604,8 @@ def greedy_cluster(game: HedonicGame, partitions: list[PartialPartition],
     coalitions' agents become the remainder.
 
     Compatibility is ``is_compatible``'s test, through the same scalar
-    function: entries read one at a time, sums in NumPy's order.
+    function: each sum equals ``coalition_utility`` of its agent and the
+    other side's sorted ids.
     Overlapping partial partitions raise ``PartitionError``.  With a ledger,
     every revealed entry is logged to it at the end.
     """

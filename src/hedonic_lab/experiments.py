@@ -25,6 +25,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .clustering import AlgoConfig, run_three_stage
+from .games import _integer
 # exists_stable is unused but kept: perfbench/tracing.py wraps it here by name, with three more.
 from .oracle import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError, exists_stable, rgs_strings
 from .sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
@@ -171,6 +172,11 @@ class Campaign:
     oracle_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self) -> None:
+        # Counts are read by the agent-id rule and stored as Python ints.
+        for name in ("trials", "workers", "oracle_limit"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("n_values", "shape_ks", "m_values", "k_values"):
+            object.__setattr__(self, name, tuple(_integer(v, name) for v in getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.kind is not CampaignKind.LEMMA_VERIFY:
@@ -456,9 +462,7 @@ def _sample_game_batch(n: int, dist: UtilityDistribution, master: SeedSpec,
                        base: int, start: int, count: int) -> np.ndarray:
     out = np.empty((count, n, n))
     for i in range(count):
-        seed = derive_trial_seed(master, base + start + i)
-        out[i] = dist.sample(seed.rng(), (n, n))
-    out[:, np.arange(n), np.arange(n)] = 0.0
+        sample_game(n, dist, derive_trial_seed(master, base + start + i), out=out[i])
     return out
 
 

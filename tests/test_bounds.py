@@ -107,6 +107,26 @@ class TestCompositeBound:
         assert singleton_partition_ns_probability(3) == pytest.approx(0.5 ** 6, abs=0)
 
 
+@pytest.mark.parametrize("fn,args,name", [
+    (nash_k_composite_bound, (5.5, 2), "n"),
+    (nash_k_composite_bound, (5, 2.0), "k"),
+    (singleton_partition_ns_probability, (2.5,), "n"),
+    (nash_partition_bound, (6, 2.5, True), "k"),
+    (grand_cns_exit_denied_prob, (True, 0.5), "n"),
+    (grand_ns_lower_bound, (50.0, -0.5, 1.5), "n"),
+    (hoeffding_tail, (2.5, 1.0), "t_terms"),
+])
+def test_counts_that_are_not_integers_rejected(fn, args, name):
+    # Each of these returned a number, or failed deep in math.comb.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        fn(*args)
+
+
+def test_counts_accept_numpy_integers():
+    assert nash_k_composite_bound(np.int64(3), np.int8(2)) == nash_k_composite_bound(3, 2)
+    assert hoeffding_tail(np.int64(5), 0.0) == 1.0
+
+
 class TestLagrangeProductBound:
     def test_symmetric_equality_case(self):
         assert verify_lagrange_product_bound([1, 1], [0.5, 0.5])

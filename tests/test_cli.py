@@ -146,6 +146,19 @@ class TestBounds:
                      "--params", "n=3"])
         assert code == 2
 
+    @pytest.mark.parametrize("formula,params,name", [
+        ("nash-k-composite", ("n=5.5", "k=2"), "n"),
+        ("singleton-ns", ("n=2.5",), "n"),
+        ("nash-partition", ("n=6", "k=2.5", "allow_singletons=true"), "k"),
+        ("grand-cns-exit-denied", ("n=true", "epsilon=0.5"), "n"),
+        ("hoeffding-tail", ("t_terms=2.5", "threshold=1"), "t_terms"),
+    ])
+    def test_count_that_is_not_an_integer_is_input_error(self, capsys, formula, params, name):
+        assert main(["bounds", "--formula", formula, "--params", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be an integer" in captured.err
+
     def test_verify_lemmas_exit_code(self, capsys):
         code, out = run_cli(capsys, "bounds", "--verify-lemmas",
                             "--trials", "20000", "--m", "1", "--k", "2",
@@ -233,9 +246,9 @@ class TestMc:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("compat", ["nan", "-0.5", "0"])
+@pytest.mark.parametrize("compat", ["nan", "inf", "-0.5", "0"])
 def test_compat_that_is_not_positive_is_input_error(tmp_path, capsys, compat):
-    # With --compat nan every stage-2 threshold was NaN and every merge passed.
+    # With --compat nan or inf every stage-2 threshold was NaN or -inf and every merge passed.
     gpath = tmp_path / "g.json"
     RUN_AND_CHASE.save(gpath)
     ppath, rpath = tmp_path / "p.json", tmp_path / "r.json"

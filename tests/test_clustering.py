@@ -17,10 +17,9 @@ from hedonic_lab.clustering import (
     run_three_stage,
     run_three_stage_detailed,
 )
-from hedonic_lab.clustering import (_AT_LEAST, _BELOW, _admit, _compat_thresholds, _row_sum,
-                                    _write_codes)
+from hedonic_lab.clustering import _AT_LEAST, _BELOW, _admit, _compat_thresholds, _write_codes
 from hedonic_lab.games import (HedonicGame, InvalidAgentError, PartialPartition, Partition,
-                               PartitionError, _agent_ids)
+                               PartitionError, _agent_ids, coalition_utility)
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, sample_game
 
 D = UtilityDistribution(-1, 1)
@@ -71,9 +70,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlgoConfig(compat_constant=0.0)
 
-    @pytest.mark.parametrize("compat", [float("nan"), -float("nan"), -1.0, -float("inf")])
-    def test_rejects_compat_that_is_not_positive(self, compat):
-        # A NaN constant makes every threshold NaN, and no sum is below NaN.
+    @pytest.mark.parametrize("compat", [float("nan"), -float("nan"), -1.0, -float("inf"),
+                                        float("inf")])
+    def test_rejects_compat_that_is_not_positive_and_finite(self, compat):
+        # A NaN constant makes every threshold NaN, and no sum is below NaN;
+        # an infinite one makes every threshold -inf.
         with pytest.raises(ValueError, match="compat_constant"):
             AlgoConfig(compat_constant=compat)
 
@@ -301,55 +302,33 @@ class TestIsCompatible:
         assert len(ledger) == 0
 
 
-def bits(x):
-    return np.float64(x).tobytes()
+def table(kind, rng, shape):
+    """A float64 table of ``shape``: U(-1, 1), or signed magnitudes 1e-8 .. 1e8."""
+    if kind == "uniform":
+        return rng.uniform(-1, 1, shape)
+    signs = rng.choice([-1.0, 1.0], shape)
+    return signs * rng.uniform(1, 10, shape) * 10.0 ** rng.integers(-8, 8, shape)
 
 
-class TestRowSum:
-    """``_row_sum`` is NumPy's float64 row reduction, bit for bit.
-
-    A NumPy build that reduces in another order fails here, before any
-    export could change without notice.
-    """
-    LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 257, 300]
-
-    @staticmethod
-    def rows(kind, rng, shape):
-        if kind == "uniform":
-            return rng.uniform(-1, 1, shape)
-        if kind == "ties":  # exact ties, +0.0 and -0.0
-            return rng.choice([0.5, -0.5, 0.25, -0.25, 1.0, 3.0, 0.0, -0.0], shape)
-        if kind == "negzero":
-            return np.full(shape, -0.0)
-        signs = rng.choice([-1.0, 1.0], shape)  # magnitudes 1e-8 .. 1e8
-        return signs * rng.uniform(1, 10, shape) * 10.0 ** rng.integers(-8, 8, shape)
-
-    @pytest.mark.parametrize("kind", ["uniform", "ties", "negzero", "magnitudes"])
-    def test_equals_numpy_row_sums(self, kind):
-        rng = np.random.default_rng(2024)
-        U = self.rows(kind, rng, (6, 320))
-        rows = np.arange(6)
-        for length in self.LENGTHS:
-            cols = np.sort(rng.choice(320, length, replace=False))
-            expected = U[rows[:, None], cols].sum(axis=1)
-            for r in rows:
-                assert bits(_row_sum(U[r, cols].tolist())) == bits(expected[r]), (kind, length)
+def sequential_sums(U, rows, cols):
+    """Each ``U[r, cols]`` added left to right, the order of ``coalition_utility``."""
+    return np.add.accumulate(U[rows[:, None], cols], axis=1)[:, -1]
 
 
-def admit_numpy(U, cand, merged, k, thr_cand, thr_merged, ledger):
-    """The stage-2 admission test as NumPy gathers and row sums, for cross-checking ``_admit``.
+def admit_reference(U, cand, merged, k, thr_cand, thr_merged, ledger):
+    """The stage-2 admission test from ``sequential_sums``, for cross-checking ``_admit``.
 
     Takes sorted, disjoint id arrays; returns (ok, pair units) and records the
     two stage-2 blocks its sums revealed, cut at the first violated sum.
     """
-    vals_m = U[merged[:, None], cand].sum(axis=1)
+    vals_m = sequential_sums(U, merged, cand)
     viol = np.flatnonzero(vals_m < thr_cand)
     n_eval = len(merged) if viol.size == 0 else int(viol[0]) + 1
     units = n_eval
     ledger.record_block(2, merged[:n_eval], cand)
     if viol.size > 0:
         return False, units
-    vals_c = U[cand[:, None], merged].sum(axis=1)
+    vals_c = sequential_sums(U, cand, merged)
     viol2 = np.flatnonzero(vals_c < thr_merged)
     n_eval2 = len(cand) if viol2.size == 0 else int(viol2[0]) + 1
     units += n_eval2 * (k - 1)
@@ -357,13 +336,13 @@ def admit_numpy(U, cand, merged, k, thr_cand, thr_merged, ledger):
     return viol2.size == 0, units
 
 
-class TestAdmitAgainstNumpy:
-    """The scalar ``_admit`` against ``admit_numpy`` on random disjoint sets.
+class TestAdmitAgainstReference:
+    """The scalar ``_admit`` against ``admit_reference`` on random disjoint sets.
 
-    Merged sets reach 200 agents, so the second test's sums take NumPy's split
-    above 128 terms.  Thresholds are random, or set to a computed row sum or
-    the next float above it, so that a sum equal to its threshold passes and
-    a sum one ulp off NumPy's lands on the other side.
+    Merged sets reach 200 agents.  Thresholds are random, or set to a
+    reference sum or the next float above it, so that a sum equal to its
+    threshold passes and a sum one ulp off the reference lands on the other
+    side.
     """
     N = 260
 
@@ -392,8 +371,8 @@ class TestAdmitAgainstNumpy:
         entry = memoryview(U)
         for _ in range(60):
             merged, cand = self.random_sets(rng)
-            sums_m = U[merged[:, None], cand].sum(axis=1)
-            sums_c = U[cand[:, None], merged].sum(axis=1)
+            sums_m = sequential_sums(U, merged, cand)
+            sums_c = sequential_sums(U, cand, merged)
             thr_cand, thr_merged = self.thresholds(rng, sums_m, sums_c)
             k = int(rng.integers(2, 21))
             got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
@@ -401,7 +380,7 @@ class TestAdmitAgainstNumpy:
                                                 float(thr_cand), float(thr_merged))
             got_ledger.record_block(2, merged[:n_eval], cand)
             got_ledger.record_block(2, cand[:n_eval2], merged)
-            want = admit_numpy(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
+            want = admit_reference(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
             assert (ok, units) == want, (len(merged), len(cand), thr_cand, thr_merged)
             assert got_ledger == want_ledger
 
@@ -412,7 +391,7 @@ class TestAdmitAgainstNumpy:
         rng = np.random.default_rng(seed)
         game = sample_game(self.N, D, SeedSpec(3200 + seed))
         merged, cand = self.random_sets(rng)
-        sums_m = game.utilities[merged[:, None], cand].sum(axis=1)
+        sums_m = np.array([coalition_utility(game, a, cand) for a in merged])
         edge = sums_m.min() if seed % 2 == 0 else np.median(sums_m)
         config = AlgoConfig(num_groups=2, compat_constant=max(-float(edge), 1e-3),
                             clique_size_rule=lambda n: 1)
@@ -420,37 +399,49 @@ class TestAdmitAgainstNumpy:
         thr_cand, thr_merged = _compat_thresholds(config, 1, k)
         got_ledger, want_ledger = RevelationLedger(self.N), RevelationLedger(self.N)
         got = is_compatible(game, cand, merged, k, config, got_ledger)
-        want, _units = admit_numpy(game.utilities, cand, merged, k, thr_cand, thr_merged,
-                                   want_ledger)
+        want, _units = admit_reference(game.utilities, cand, merged, k, thr_cand, thr_merged,
+                                       want_ledger)
         assert got == want
         assert got_ledger == want_ledger
 
+    def test_threshold_equal_to_coalition_utility_admits(self):
+        # u_0's sum over agents 1..9 is exactly -c; NumPy's pairwise row sum of
+        # the same entries is one ulp below it, and an admission test adding
+        # in that order rejected this merge.
+        game = sample_game(12, D, SeedSpec(98))
+        c = 2.163454081101906
+        assert coalition_utility(game, 0, range(1, 10)) == -c
+        config = AlgoConfig(num_groups=2, compat_constant=c, clique_size_rule=lambda n: 1)
+        assert is_compatible(game, range(1, 10), [0], 2, config)
+
 
 class TestAdmitShortSumBoundary:
-    """``_admit`` at the lengths where its sums switch from a plain loop to ``_row_sum``.
+    """``_admit`` on sums of 1 to 9 and of 127 to 129 terms.
 
+    A pairwise reduction such as NumPy's changes its order from 8 terms and
+    splits above 128, so these lengths are where another order would show.
     One merged agent against ``length`` candidates makes the first test one
     sum of ``length`` terms; one candidate against ``length`` merged agents
     does the same for the second test.  Each sum's threshold is set to the
-    NumPy row sum of the same entries (the test passes) or the next float
-    above it (it fails), so a sum one ulp off NumPy's gives another verdict.
+    sequential sum of the same entries (the test passes) or the next float
+    above it (it fails), so a sum one ulp off gives another verdict.
     """
     N = 260
     LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129]
 
     @pytest.mark.parametrize("kind", ["uniform", "magnitudes"])
     @pytest.mark.parametrize("length", LENGTHS)
-    def test_long_side_against_numpy_row_sums(self, length, kind):
+    def test_long_side_against_sequential_sums(self, length, kind):
         rng = np.random.default_rng(length)
-        U = TestRowSum.rows(kind, rng, (self.N, self.N))
+        U = table(kind, rng, (self.N, self.N))
         entry = memoryview(U)
         for trial in range(12):
             ids = rng.permutation(self.N)
             many, one = np.sort(ids[:length]), ids[length:length + 1]
             # trial % 2: the long sum is the first test's (candidate side) or the second's.
             cand, merged = (many, one) if trial % 2 == 0 else (one, many)
-            sums_m = U[merged[:, None], cand].sum(axis=1)
-            sums_c = U[cand[:, None], merged].sum(axis=1)
+            sums_m = sequential_sums(U, merged, cand)
+            sums_c = sequential_sums(U, cand, merged)
             for bump_m, bump_c in [(False, False), (True, False), (False, True)]:
                 thr_cand = np.nextafter(sums_m.min(), np.inf) if bump_m else sums_m.min()
                 thr_merged = np.nextafter(sums_c.min(), np.inf) if bump_c else sums_c.min()
@@ -460,7 +451,7 @@ class TestAdmitShortSumBoundary:
                                                     float(thr_cand), float(thr_merged))
                 got_ledger.record_block(2, merged[:n_eval], cand)
                 got_ledger.record_block(2, cand[:n_eval2], merged)
-                want = admit_numpy(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
+                want = admit_reference(U, cand, merged, k, thr_cand, thr_merged, want_ledger)
                 assert (ok, units) == want, (length, trial, bump_m, bump_c)
                 assert ok == (not bump_m and not bump_c)
                 assert got_ledger == want_ledger

@@ -151,6 +151,27 @@ class TestCampaignValidation:
             Campaign(kind=kind, n_values=(6,), trials=5, dist=D, master_seed=SeedSpec(0),
                      **{field: values})
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", True), ("trials", 2.5), ("workers", 1.5), ("oracle_limit", 9.0),
+        ("n_values", (5.5,)), ("n_values", (True,)), ("shape_ks", (2.0,)),
+        ("m_values", (1, False)), ("k_values", (np.float64(2),)),
+    ])
+    def test_counts_that_are_not_integers_rejected(self, field, value):
+        # trials=True used to run and export "True" as the trial count.
+        settings = dict(kind=CampaignKind.MC_GRAND, n_values=(5,), trials=3, dist=D,
+                        master_seed=SeedSpec(0))
+        settings[field] = value
+        with pytest.raises(TypeError, match=field):
+            Campaign(**settings)
+
+    def test_counts_are_stored_as_python_ints(self):
+        campaign = Campaign(kind=CampaignKind.BOUNDS_COMPARE, n_values=[np.int64(6)],
+                            trials=np.int32(4), dist=D, master_seed=SeedSpec(0),
+                            shape_ks=[np.uint8(2)], workers=np.int64(2))
+        assert campaign.n_values == (6,) and campaign.shape_ks == (2,)
+        assert [type(v) for v in (*campaign.n_values, *campaign.shape_ks, campaign.trials,
+                                  campaign.workers, campaign.oracle_limit)] == [int] * 5
+
 
 class TestGrandStudy:
     def test_flags_match_reference_checker(self):

@@ -21,7 +21,8 @@ from hedonic_lab.sampling import SeedSpec, UtilityDistribution, derive_trial_see
 DATA = Path(__file__).parent / "data" / "three_stage_sweep.txt"
 D = UtilityDistribution(-1, 1)
 # 3 x 5 x 4 x 3 x 3 = 540 configs; g = 8 and 20 with s up to 4 make second
-# admission tests of 8 or more terms, where NumPy's pairwise order applies.
+# admission tests of 8 or more terms, where a pairwise order would differ
+# from the sequential one.
 SWEEP = [(n, g, s, tau, compat)
          for n in (30, 90, 250) for g in (2, 3, 4, 8, 20) for s in (1, 2, 3, 4)
          for tau in (0.1, 0.5, 0.9) for compat in (0.05, 0.25, 2.0)]
