@@ -2,10 +2,11 @@
 
 Combinatorial bounds are evaluated in exact rational arithmetic before the
 final conversion to float, so Stirling-number growth never overflows or loses
-the leading digits.  Counts (``n``, ``k``, ``t_terms``) are read by the
-agent-id rule: a bool or a float raises ``TypeError``.  The dominance checks
-are one-sided Monte Carlo tests, not proofs: an estimate is flagged only when
-it falls below -3 standard errors.
+the leading digits.  Counts (``n``, ``k``, ``m``, ``t_terms``, ``trials``) are
+read by the agent-id rule: a bool or a float raises ``TypeError``.  An infinite
+or NaN ``epsilon``, ``lo``, ``hi`` or ``threshold`` raises ``ValueError``.  The
+dominance checks are one-sided Monte Carlo tests, not proofs: an estimate is
+flagged only when it falls below -3 standard errors.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ def grand_ns_lower_bound(n: int, lo: float, hi: float) -> float:
     Valid only for a strictly positive mean; clamped into [0, 1].
     """
     n = _integer(n, "n")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
     if (lo + hi) / 2.0 <= 0.0:
         raise ValueError("bound requires a strictly positive mean (lo + hi > 0)")
     raw = 1.0 - n * math.exp(-(n - 1) * (lo + hi) ** 2 / (2.0 * (hi - lo)))
@@ -221,8 +222,9 @@ def verify_lagrange_product_bound(s, q) -> bool:
 def hoeffding_tail(t_terms: int, threshold: float) -> float:
     """Hoeffding bound exp(-2 thr^2 / (4 t)) on P(sum of t U(-1,1) draws <= -thr)."""
     t_terms = _integer(t_terms, "t_terms")
-    if t_terms < 1:
-        raise ValueError("t_terms must be positive")
+    if t_terms < 1 or not math.isfinite(threshold):
+        raise ValueError(f"need a positive t_terms and a finite threshold, "
+                         f"got t_terms={t_terms}, threshold={threshold}")
     return math.exp(-2.0 * threshold * threshold / (4.0 * t_terms))
 
 
@@ -297,8 +299,7 @@ def _paired(diff_sum: float, diff_sq_sum: float, trials: int) -> tuple[float, fl
 
 
 def check_dominance_lemmas(m: int, k: int, trials: int,
-                           seed: SeedSpec | int = 0,
-                           x_grid: tuple[float, ...] = _X_GRID) -> DominanceReport:
+                           seed: SeedSpec | int = 0) -> DominanceReport:
     """Monte Carlo dominance estimates for the sum/max comparison inequalities.
 
     (a) adding one U(-1,1) term to a sum never hurts against the max of k
@@ -310,10 +311,9 @@ def check_dominance_lemmas(m: int, k: int, trials: int,
     All four are paired-sample estimates; each should be nonnegative up to
     noise, so anything below -3 standard errors counts as a violation.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    m, k, trials = _integer(m, "m"), _integer(k, "k"), _integer(trials, "trials")
+    if min(m, k, trials) < 1:
+        raise ValueError("m, k and trials must be positive")
     master = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     dist = UNIFORM_SYMMETRIC
 
@@ -348,11 +348,11 @@ def check_dominance_lemmas(m: int, k: int, trials: int,
         sm = dist.sample(rng, (b, m + 1))
         s_m = sm[:, :m].sum(axis=1)
         s_m1 = s_m + sm[:, m]
-        for xv in x_grid:
+        for xv in _X_GRID:
             add(f"c:x={xv:g}", (s_m1 >= xv).astype(float) - (s_m >= xv).astype(float))
 
         ymax2 = dist.sample(rng, (b, k, m)).sum(axis=2).max(axis=1)
-        for xv in x_grid:
+        for xv in _X_GRID:
             pos = (ymax2 >= 0.0) & (ymax2 <= xv)
             neg = (ymax2 >= -xv) & (ymax2 < 0.0)
             add(f"d:x={xv:g}", pos.astype(float) - neg.astype(float))

@@ -126,8 +126,14 @@ def _cmd_bounds(args) -> int:
         return 3 if worst else 0
     if not args.formula:
         raise ValueError("need --formula NAME or --verify-lemmas")
-    supplied = dict(kv.split("=", 1) for kv in args.params)
-    kwargs = {p: _coerce(v) for p, v in supplied.items()}
+    kwargs = {}
+    for item in args.params:
+        key, sep, text = item.partition("=")
+        if not sep:
+            raise ValueError(f"bad --params item {item!r}; expected key=value")
+        if key in kwargs:
+            raise ValueError(f"--params repeats key {key!r}")
+        kwargs[key] = _coerce(text)
     try:
         bound = bounds_mod.evaluate_formula(args.formula, **kwargs)
     except TypeError as exc:  # a count given as a float or a bool
@@ -181,7 +187,6 @@ def _cmd_mc(args, actions: dict[str, argparse.Action]) -> int:
     args.trials = args.trials if args.trials is not None else 100
     args.dist = args.dist or "uniform:-1:1"
     args.seed = args.seed if args.seed is not None else 0
-    args.workers = args.workers if args.workers is not None else 1
     args.format = args.format or "csv"
     kind = CampaignKind.parse(args.kind)
     concepts = tuple(Concept.parse(c) for c in str(args.concepts).replace(",", " ").split()) \
@@ -197,7 +202,6 @@ def _cmd_mc(args, actions: dict[str, argparse.Action]) -> int:
         shape_ks=_parse_int_list(str(args.shape_k)) if args.shape_k else (),
         m_values=_parse_int_list(str(args.m)) if args.m else (),
         k_values=_parse_int_list(str(args.k)) if args.k else (),
-        workers=int(args.workers),
     )
     result = run_campaign(campaign)
     if args.out:
@@ -270,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape-k")
     p.add_argument("--m")
     p.add_argument("--k")
-    p.add_argument("--workers")
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])

@@ -1,8 +1,8 @@
 """Monte Carlo campaigns, exhaustive sweeps, and result export.
 
-Trials are embarrassingly parallel: each draws its own generator from a seed
-derived statelessly from the campaign master, and aggregation is by counting,
-so results are identical at any worker count.  Heavy inner loops (grand
+Each trial draws its own generator from a seed derived statelessly from the
+campaign master, and aggregation is by counting, so results do not depend on
+the order trials run in.  Heavy inner loops (grand
 coalition flags, fixed-shape stability, exhaustive existence) are vectorized
 over trial batches; each forms its block sums in its own layout and reduces
 the per-agent verdicts of ``stability.agent_verdicts``.  Exhaustive existence,
@@ -16,9 +16,7 @@ import enum
 import itertools
 import json
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +153,8 @@ class CampaignKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Campaign:
-    """One campaign's settings.  ``workers`` threads run ``mc-alg`` trials; the
-    other kinds are batched and ignore it."""
+    """One campaign's settings.  ``mc-alg`` runs its trials one after another;
+    the other kinds are batched."""
 
     kind: CampaignKind
     n_values: tuple[int, ...]
@@ -168,13 +166,10 @@ class Campaign:
     shape_ks: tuple[int, ...] = ()
     m_values: tuple[int, ...] = ()
     k_values: tuple[int, ...] = ()
-    workers: int = 1
-    oracle_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self) -> None:
         # Counts are read by the agent-id rule and stored as Python ints.
-        for name in ("trials", "workers", "oracle_limit"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         for name in ("n_values", "shape_ks", "m_values", "k_values"):
             object.__setattr__(self, name, tuple(_integer(v, name) for v in getattr(self, name)))
         if self.trials < 1:
@@ -189,8 +184,6 @@ class Campaign:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -198,13 +191,6 @@ class CampaignResult:
     campaign: Campaign
     rows: list[ResultRow]
     summaries: list[TrialSummary]
-
-
-def _map_trials(fn, count: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------- MC_ALG ----
@@ -221,37 +207,29 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
     config = campaign.config or AlgoConfig()
     rows: list[ResultRow] = []
     summaries: list[TrialSummary] = []
-    # One utility table per worker thread, refilled by each of its trials: a
-    # trial reads its game only until it returns, and the ledger that
-    # run_three_stage returns does not read the table.
-    tables = threading.local()
 
     for n_idx, n in enumerate(campaign.n_values):
         base = n_idx * TRIAL_BLOCK
-
-        def one_trial(t: int, n=n, base=base) -> TrialSummary:
+        # One table per n, refilled by each trial (the ledger run_three_stage
+        # returns does not read it); the last n's is freed before it is made.
+        table = None
+        table = np.empty((n, n))
+        trial_results = []
+        for t in range(campaign.trials):
             t0 = time.perf_counter()
             seed = derive_trial_seed(campaign.master_seed, base + t)
-            if getattr(tables, "n", None) != n:
-                tables.buf = None  # the last n's table is freed before this one is made
-                tables.buf, tables.n = np.empty((n, n)), n
-            game = sample_game(n, campaign.dist, seed, out=tables.buf)
+            game = sample_game(n, campaign.dist, seed, out=table)
             partition, report, _ledger = run_three_stage(game, config)
             prof = concept_profile(game, partition)
             combo = (prof[Concept.INDIVIDUALLY_RATIONAL]
                      and prof[Concept.ENTER_DENIED] and prof[Concept.EXIT_DENIED])
-            outcomes = tuple((c.value, prof[c]) for c in _ALG_CONCEPTS) + (
-                ("stage1-success", report.stage1_success),
-                ("stage2-success", report.stage2_success),
-                ("stage3-success", report.stage3_success),
-                ("ir_enter_exit", combo),
-            )
+            outcomes = tuple(zip(_ALG_PROPERTIES, (
+                *(prof[c] for c in _ALG_CONCEPTS), report.stage1_success,
+                report.stage2_success, report.stage3_success, combo)))
             sizes = tuple(sorted(report.coalition_size_histogram.items()))
-            return TrialSummary(n=n, trial=t, seed_stream=seed.stream_index,
-                                outcomes=outcomes, coalition_sizes=sizes,
-                                wall_ms=(time.perf_counter() - t0) * 1e3)
-
-        trial_results = _map_trials(one_trial, campaign.trials, campaign.workers)
+            trial_results.append(TrialSummary(
+                n=n, trial=t, seed_stream=seed.stream_index, outcomes=outcomes,
+                coalition_sizes=sizes, wall_ms=(time.perf_counter() - t0) * 1e3))
         for prop in _ALG_PROPERTIES:
             succ = sum(1 for s in trial_results if s.outcome(prop))
             rows.append(ResultRow.from_frequency(
@@ -471,9 +449,9 @@ def run_oracle_existence(campaign: Campaign, *, keep_summaries: bool = True) -> 
     if campaign.kind is not CampaignKind.ORACLE_EXISTENCE:
         raise ValueError("campaign kind must be oracle-existence")
     concepts = campaign.concepts or (Concept.NASH,)
-    if max(campaign.n_values) > campaign.oracle_limit:
+    if max(campaign.n_values) > DEFAULT_ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"n={max(campaign.n_values)} beyond oracle limit {campaign.oracle_limit}")
+            f"n={max(campaign.n_values)} beyond oracle limit {DEFAULT_ENUMERATION_LIMIT}")
     rows: list[ResultRow] = []
     summaries: list[TrialSummary] = []
 
@@ -629,11 +607,10 @@ def run_bounds_compare(campaign: Campaign) -> CampaignResult:
 
 # ------------------------------------------------------------ LEMMA_VERIFY ----
 
-def sample_lagrange_instance(rng: np.random.Generator, max_k: int = 6,
-                             max_n: int = 30) -> tuple[list[int], list[float]]:
-    """One random (sizes, weights) instance for the product-bound verifier."""
-    k = int(rng.integers(1, max_k + 1))
-    n_total = int(rng.integers(k, max_n + 1))
+def sample_lagrange_instance(rng: np.random.Generator) -> tuple[list[int], list[float]]:
+    """One random (sizes, weights) instance of 1 to 6 blocks and at most 30 agents."""
+    k = int(rng.integers(1, 7))
+    n_total = int(rng.integers(k, 31))
     # Random composition of n_total into k positive parts.
     if k == 1:
         s = [n_total]

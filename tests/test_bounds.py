@@ -122,6 +122,21 @@ def test_counts_that_are_not_integers_rejected(fn, args, name):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn,args", [
+    (grand_ns_lower_bound, (5, -1.0, math.inf)),
+    (grand_ns_lower_bound, (5, -math.inf, 1.0)),
+    (grand_ns_lower_bound, (5, math.nan, 1.0)),
+    (grand_ns_lower_bound, (5, -1.0, math.nan)),
+    (hoeffding_tail, (3, math.inf)),
+    (hoeffding_tail, (3, -math.inf)),
+    (hoeffding_tail, (3, math.nan)),
+])
+def test_non_finite_parameters_rejected(fn, args):
+    # An infinite hi gave 0.0 and an infinite threshold gave 0.0, both without complaint.
+    with pytest.raises(ValueError, match="finite"):
+        fn(*args)
+
+
 def test_counts_accept_numpy_integers():
     assert nash_k_composite_bound(np.int64(3), np.int8(2)) == nash_k_composite_bound(3, 2)
     assert hoeffding_tail(np.int64(5), 0.0) == 1.0
@@ -246,6 +261,21 @@ class TestDominanceLemmas:
             check_dominance_lemmas(0, 1, 100)
         with pytest.raises(ValueError):
             check_dominance_lemmas(1, 1, 0)
+
+    @pytest.mark.parametrize("args,name", [
+        ((True, 1, 100), "m"), ((1.0, 1, 100), "m"),
+        ((1, True, 100), "k"), ((1, 2.5, 100), "k"),
+        ((1, 1, True), "trials"), ((1, 1, 100.0), "trials"),
+    ])
+    def test_counts_that_are_not_integers_rejected(self, args, name):
+        # trials=True ran and reported trials=True; m=True failed inside NumPy.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            check_dominance_lemmas(*args)
+
+    def test_counts_accept_numpy_integers(self):
+        report = check_dominance_lemmas(np.int64(2), np.int8(3), np.int32(1000), SeedSpec(7))
+        assert [type(v) for v in (report.m, report.k, report.trials)] == [int] * 3
+        assert report == check_dominance_lemmas(2, 3, 1000, SeedSpec(7))
 
 
 class TestBoundValue:

@@ -159,6 +159,32 @@ class TestBounds:
         assert captured.out == ""
         assert f"error: {name} must be an integer" in captured.err
 
+    @pytest.mark.parametrize("params,message", [
+        (("n",), "bad --params item 'n'; expected key=value"),
+        (("n=3", "n", "k=2"), "bad --params item 'n'; expected key=value"),
+        (("n=3", "n=4"), "--params repeats key 'n'"),
+    ])
+    def test_malformed_params_are_input_errors(self, capsys, params, message):
+        # "n" used to fail with "dictionary update sequence element #0 ...",
+        # and a repeated key silently kept its last value.
+        assert main(["bounds", "--formula", "singleton-ns", "--params", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("formula,params", [
+        ("grand-ns-lower", ("n=5", "lo=-1", "hi=inf")),
+        ("grand-ns-lower", ("n=5", "lo=nan", "hi=1")),
+        ("hoeffding-tail", ("t_terms=3", "threshold=inf")),
+        ("hoeffding-tail", ("t_terms=3", "threshold=nan")),
+    ])
+    def test_non_finite_param_is_input_error(self, capsys, formula, params):
+        # Both infinities used to exit 0 and print "Infinity", which is not JSON.
+        assert main(["bounds", "--formula", formula, "--params", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_verify_lemmas_exit_code(self, capsys):
         code, out = run_cli(capsys, "bounds", "--verify-lemmas",
                             "--trials", "20000", "--m", "1", "--k", "2",
@@ -193,7 +219,7 @@ class TestMc:
         assert code == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("key", ["trails", "config", "command"])
+    @pytest.mark.parametrize("key", ["trails", "config", "command", "workers"])
     def test_config_file_unknown_key_is_input_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text(f"kind = mc-grand\nn = 5\n{key} = 3\n")
@@ -225,6 +251,12 @@ class TestMc:
         code, _ = run_cli(capsys, "mc", "--config", str(cfg), "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["results"][0]["trials"] == 50
+
+    def test_workers_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--kind", "mc-alg", "--n", "20", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_missing_n_is_input_error(self, capsys):
         assert main(["mc", "--kind", "mc-grand", "--trials", "5"]) == 2

@@ -152,7 +152,7 @@ class TestCampaignValidation:
                      **{field: values})
 
     @pytest.mark.parametrize("field,value", [
-        ("trials", True), ("trials", 2.5), ("workers", 1.5), ("oracle_limit", 9.0),
+        ("trials", True), ("trials", 2.5),
         ("n_values", (5.5,)), ("n_values", (True,)), ("shape_ks", (2.0,)),
         ("m_values", (1, False)), ("k_values", (np.float64(2),)),
     ])
@@ -167,10 +167,10 @@ class TestCampaignValidation:
     def test_counts_are_stored_as_python_ints(self):
         campaign = Campaign(kind=CampaignKind.BOUNDS_COMPARE, n_values=[np.int64(6)],
                             trials=np.int32(4), dist=D, master_seed=SeedSpec(0),
-                            shape_ks=[np.uint8(2)], workers=np.int64(2))
+                            shape_ks=[np.uint8(2)])
         assert campaign.n_values == (6,) and campaign.shape_ks == (2,)
-        assert [type(v) for v in (*campaign.n_values, *campaign.shape_ks, campaign.trials,
-                                  campaign.workers, campaign.oracle_limit)] == [int] * 5
+        assert [type(v) for v in (*campaign.n_values, *campaign.shape_ks,
+                                  campaign.trials)] == [int] * 3
 
 
 class TestGrandStudy:
@@ -310,9 +310,9 @@ class TestOracleExistence:
             assert row.estimate == 1.0
 
     def test_limit_respected(self):
-        campaign = Campaign(kind=CampaignKind.ORACLE_EXISTENCE, n_values=(9,),
+        campaign = Campaign(kind=CampaignKind.ORACLE_EXISTENCE, n_values=(14,),
                             trials=5, dist=D, master_seed=SeedSpec(0),
-                            concepts=(Concept.NASH,), oracle_limit=8)
+                            concepts=(Concept.NASH,))
         with pytest.raises(EnumerationLimitError):
             run_oracle_existence(campaign)
 
@@ -491,17 +491,10 @@ class TestMcAlg:
         for summary in result.summaries:
             assert sum(s * c for s, c in summary.coalition_sizes) == summary.n
 
-    def test_worker_count_does_not_change_results(self):
-        r1 = run_mc_alg(self.campaign(workers=1))
-        r4 = run_mc_alg(self.campaign(workers=4))
-        assert r1.rows == r4.rows
-        assert r1.summaries == r4.summaries
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_reused_tables_give_each_trial_its_own_game(self, workers):
-        # Trials refill one table per worker thread and n; each must still
-        # see the fresh game of its own seed.
-        result = run_mc_alg(self.campaign(n_values=(20, 40), trials=9, workers=workers))
+    def test_reused_tables_give_each_trial_its_own_game(self):
+        # Trials refill one table per n; each must still see the fresh game
+        # of its own seed.
+        result = run_mc_alg(self.campaign(n_values=(20, 40), trials=9))
         assert len(result.summaries) == 18
         for s in result.summaries:
             n_idx = (20, 40).index(s.n)

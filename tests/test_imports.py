@@ -2,12 +2,15 @@
 every private module-level name it defines is named somewhere.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
-public names.
+public names.  The traced benchmark swaps some of the package's module-level
+names by name; a last test checks that each of them exists and is restored.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import hedonic_lab
+from hedonic_lab import clustering, experiments, oracle
 
 PACKAGE = Path(hedonic_lab.__file__).parent
 ROOT = PACKAGE.parent.parent
@@ -88,3 +91,23 @@ def test_every_private_helper_is_named_somewhere():
     dead = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
             for name in sorted(private_definitions(path.read_text()) - readers)]
     assert dead == []
+
+
+def test_tracer_swaps_names_that_exist_and_restores_them():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (clustering, experiments, oracle)
+    before = [dict(vars(m)) for m in modules]
+    # Entering fails with AttributeError when a name the tracer swaps is gone.
+    with tracing.instrument(tracing.Tracer()):
+        swapped = {(m.__name__, name) for m, old in zip(modules, before)
+                   for name, value in vars(m).items() if old.get(name) is not value}
+    assert {("hedonic_lab.experiments", "exists_stable"),
+            ("hedonic_lab.experiments", "rgs_strings"),
+            ("hedonic_lab.experiments", "nash_existence_by_k"),
+            ("hedonic_lab.clustering", "is_compatible")} <= swapped
+    for m, old in zip(modules, before):
+        assert vars(m).keys() == old.keys()
+        assert [name for name, value in old.items() if vars(m)[name] is not value] == []
