@@ -181,19 +181,18 @@ def _cmd_mc(args, actions: dict[str, argparse.Action]) -> int:
             value = _config_value(actions[attr], key, val, args.config)
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
-    if args.n is None:
-        raise ValueError("mc needs --n (or n= in the config file)")
-    args.kind = args.kind or "mc-alg"
+    kind = CampaignKind.parse(args.kind or "mc-alg")
+    if args.n is None and kind is not CampaignKind.LEMMA_VERIFY:  # lemma-verify reads no n
+        raise ValueError(f"mc --kind {kind.value} needs --n (or n= in the config file)")
     args.trials = args.trials if args.trials is not None else 100
     args.dist = args.dist or "uniform:-1:1"
     args.seed = args.seed if args.seed is not None else 0
     args.format = args.format or "csv"
-    kind = CampaignKind.parse(args.kind)
     concepts = tuple(Concept.parse(c) for c in str(args.concepts).replace(",", " ").split()) \
         if args.concepts else ()
     campaign = Campaign(
         kind=kind,
-        n_values=_parse_int_list(str(args.n)),
+        n_values=_parse_int_list(str(args.n)) if args.n is not None else (),
         trials=int(args.trials),
         dist=UtilityDistribution.parse(args.dist),
         master_seed=SeedSpec(int(args.seed)),

@@ -7,8 +7,11 @@ coalition flags, fixed-shape stability, exhaustive existence) are vectorized
 over trial batches; each forms its block sums in its own layout and reduces
 the per-agent verdicts of ``stability.agent_verdicts``.  Exhaustive existence,
 for every concept, is one pass of ``existence_by_k`` over all set partitions
-per n, each built in one step from its (n − 1)-agent prefix, whose block sums
-are formed once for all its children; ``check`` is not called.
+per n, each a child of its (n − 1)-agent prefix, whose block sums are formed
+once for all its children.  The breach rule of ``stability.agent_breaches``
+rules most children out from the prefix alone, a child is skipped where every
+concept is already settled, and only the rest are built and decided exactly;
+``check`` is not called.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .games import _integer
 # exists_stable is unused but kept: perfbench/tracing.py wraps it here by name, with three more.
 from .oracle import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError, exists_stable, rgs_strings
 from .sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
-from .stability import Concept, agent_verdicts, concept_profile
+from .stability import Concept, agent_breaches, agent_verdicts, concept_profile
 
 __all__ = [
     "WILSON_Z",
@@ -243,13 +246,11 @@ def run_mc_alg(campaign: Campaign, *, keep_summaries: bool = True) -> CampaignRe
 
 # Restricted growth strings of the first n − 1 agents (the prefixes) are read
 # from ``rgs_strings`` per table slice (int8, _RGS_ROWS × (n − 1) bytes).  A
-# chunk is the children built at once for a group of prefixes: some of their
-# join children, or all their new-block children.  It holds at least one
-# child of k blocks, so at most max(_CHUNK, k·T·n) float64 sums (children ×
-# blocks × games × agents): 512 KB while k·T·n ≤ _CHUNK, but T = 2,000 games
-# at n = 9 make one-child chunks of up to 9·2,000·9 sums (1.3 MB) at k = 9.
-# The prefixes' own sums, m·T·n each, live beside their chunks and are fewer
-# than their new-block children's.
+# chunk is a group of prefixes with the same block count m whose layers, m·n·T
+# entries per prefix (blocks × agents × games), fit in _CHUNK: 512 KB of
+# float64 sums, or one prefix when m·n·T is larger (up to 8·9·2,000 sums,
+# 1.1 MB, at n = 9, T = 2,000).  The children that survive a chunk's breach
+# rule are built and decided in batches whose sums also fit in _CHUNK.
 _RGS_ROWS = 1 << 14
 _CHUNK = 1 << 16
 
@@ -275,57 +276,91 @@ def _prefix_tables(n: int):
         yield table
 
 
-def _join_children(acc: np.ndarray, last: np.ndarray, c0: int, w: int,
-                   out: np.ndarray) -> np.ndarray:
-    """Rows of the join children, written to the front of ``out``: the parents'
-    rows ``acc`` (P, 1, m, T·n), one copy per block c in c0..c0+w−1, with
-    ``last`` added to row c."""
-    P, _, m, TN = acc.shape
-    child = out[:P * w * m * TN].reshape(P, w, m, TN)
-    child[...] = acc
-    child = child.reshape(P, w * m, TN)
-    # Row c0 + i of copy i is row i·m + c0 + i = c0 + i·(m + 1): a strided view.
-    child[:, c0::m + 1][:, :w] += last
-    return child.reshape(-1, TN)
-
-
-def _new_block_child(acc: np.ndarray, last: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows of the new-block children, written to the front of ``out``: the
-    parents' rows ``acc`` (P, 1, m, T·n) and, as block m, 0 plus ``last``."""
-    P, _, m, TN = acc.shape
-    child = out[:P * (m + 1) * TN].reshape(P, m + 1, TN)
-    child[:, :m] = acc[:, 0]
-    child[:, m] = 0
-    child[:, m] += last
-    return child.reshape(-1, TN)
-
-
-def _fold_verdicts(exists: dict, layers: dict, lab: np.ndarray, k: int,
-                   flat_agent: np.ndarray) -> None:
-    """OR into ``exists[c][:, k]`` whether some partition ``lab`` (rows of
-    labels, k blocks) is stable; ``layers`` holds its sums ``"S"`` and masks
-    ``"F"``/``"G"``, row p * k + j for block j of partition p."""
+def _prefix_layers(per_agent: dict, lab: np.ndarray, m: int) -> dict:
+    """Per layer, the (P, m, n, T) rows of the prefixes ``lab`` (P, n − 1):
+    entry [p, j, a, t] ORs or sums, from 0 and in ascending order, what each
+    member of block j adds for agent a in game t.  When ``F`` is built it is
+    set at each prefix agent's own block, which only enter-denied reads."""
     P = len(lab)
-    T, n = flat_agent.shape
-    # own_at[p, t, a]: the flat index of agent a's entry at its own block.
-    own_at = ((np.arange(P)[:, None] * k + lab) * (T * n))[:, None, :] + flat_agent
-    S, F, G = layers.get("S"), layers.get("F"), layers.get("G")
-    own, own_fin = 0.0, None  # read only by concepts that need S, G
-    if S is not None:
-        own = S.reshape(-1).take(own_at)
-        S = S.reshape(P, k, T, n)
+    block_row = np.arange(P)[:, None] * m + lab
+    layers = {}
+    for key, rows in per_agent.items():
+        acc = np.zeros((P * m, *rows.shape[1:]), rows.dtype)
+        for b in range(lab.shape[1]):
+            acc[block_row[:, b]] += rows[b]
+        layers[key] = acc.reshape(P, m, *rows.shape[1:])
+    if "F" in layers:
+        layers["F"][_own_index(lab)] = True
+    return layers
+
+
+def _own_index(lab: np.ndarray) -> tuple:
+    """Index of each agent's own block in (P, k, n, T) rows labelled ``lab`` (P, n)."""
+    return np.arange(len(lab))[:, None], lab, np.arange(lab.shape[1])
+
+
+def _allowed_children(layers: dict, lab: np.ndarray, wants: dict) -> np.ndarray:
+    """Bit c of entry [p, t] (c < m: join block c; c = m: open block m) is set
+    when that child of prefix p may be stable in game t under a concept whose
+    ``wants`` (T,) bits (the children of the block counts it has not yet
+    settled) include it.  By the breaches of ``stability.agent_breaches``, a
+    prefix agent stays only in children that change its own block or a block
+    where it breaches: one that fails at its own block, or breaches at two
+    others, allows only the child that joins its own block; one that breaches
+    at one block j allows that child and the one that joins j.  The last
+    agent allows every child."""
+    n1 = lab.shape[1]
+    m = next(iter(layers.values())).shape[1]
+    allowed = 0
+    own_at = _own_index(lab)
+    S, F, G = (layers[key][:, :, :n1] if key in layers else None for key in "SFG")
+    own = layers["S"][own_at] if S is not None else 0.0
+    own_fin = layers["G"][own_at] if G is not None else None
+    bit = 1 << np.arange(m, dtype=np.uint16)
+    only = bit[lab][:, :, None]  # the child that joins the agent's own block
+    # The children an agent allows, by the blocks it fails at (its own block
+    # counts as a breach there): all for none, that block and its own for one,
+    # its own for two or more.
+    allows = np.zeros(1 << m, np.uint16)
+    allows[0] = 0xFFFF
+    allows[bit] = bit
+    for c, (O, B) in agent_breaches(S, own, F, own_fin, concepts=wants).items():
+        fails = 0 if O is None else O * only
+        if B is not None:
+            fails = fails | np.add.reduce(B * bit[:, None, None], axis=1, dtype=np.uint16)
+        stays = only | allows.take(fails)
+        allowed |= np.bitwise_and.reduce(stays, axis=1) & wants[c]
+    return allowed
+
+
+def _decide(exists: dict, concepts, layers: dict, last: dict, lab: np.ndarray,
+            p: np.ndarray, t: np.ndarray, c: np.ndarray, k: int) -> None:
+    """OR into ``exists[concept][t, k]``, for ``concepts``, the verdicts of the
+    children of prefixes ``lab[p]`` in games ``t`` whose last agent is in block
+    ``c``.  Each copies its prefix's rows and adds ``last`` (what the last agent
+    adds, (n, T) per layer) to row c, which starts at 0 for a new block
+    (c = m = k − 1).  Rows are laid out (agent, block, child), so that every
+    reduction runs over a leading axis."""
+    Q, m = len(p), next(iter(layers.values())).shape[1]
+    q = np.arange(Q)
+    # own_at: each agent's own block in (n, k, Q) rows.
+    own_at = (np.arange(lab.shape[1] + 1)[:, None],
+              np.concatenate((lab[p], c[:, None]), axis=1).T, q)
+    rows = {}
+    for key, pre in layers.items():
+        child = np.empty((pre.shape[2], k, Q), pre.dtype)
+        child[:, :m] = pre.transpose(2, 1, 0, 3)[:, :, p, t]
+        if k > m:
+            child[:, m] = 0
+        child[:, c, q] += last[key][:, t]
+        rows[key] = child
+    S, F, G = rows.get("S"), rows.get("F"), rows.get("G")
+    own = S[own_at] if S is not None else 0.0
     if F is not None:
-        if Concept.ENTER_DENIED in exists:  # the only reader of the own flag
-            F.reshape(-1)[own_at] = True
-        F = F.reshape(P, k, T, n)
-    if G is not None:
-        own_fin = G.reshape(-1).take(own_at)
-    ok = agent_verdicts(S, own, F, own_fin, concepts=exists)
-    for c, ex in exists.items():
-        # ``all`` over agents, with the agent axis moved first: along the
-        # short last axis NumPy would loop once per (partition, game) row.
-        stays = np.logical_and.reduce(np.ascontiguousarray(np.moveaxis(ok[c], -1, 0)))
-        ex[:, k] |= stays.any(axis=0)
+        F[own_at] = True  # the last agent's own flag; the prefix agents' are set
+    own_fin = G[own_at] if G is not None else None
+    for concept, ok in agent_verdicts(S, own, F, own_fin, concepts=concepts).items():
+        exists[concept][t[np.logical_and.reduce(ok)], k] = True
 
 
 def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
@@ -337,24 +372,35 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     partition is a child of its prefix, the partition of agents 0..n−2 it
     restricts to: with m prefix blocks, the last agent joins block c (k = m)
     or opens block m (k = m + 1).  Prefixes are read from ``rgs_strings(n −
-    1)`` in table slices, grouped by m, and their block sums are scattered
-    once per chunk of them; each child copies its parent's rows and adds the
-    last agent to one of them.  So each block sum starts at 0.0 and adds its
-    members in ascending order, the order ``check`` sums in, and every
-    concept is a reduction of ``agent_verdicts`` over those sums and two
-    favour masks, built by block exactly as the sums are (``+`` on booleans
-    is OR):
+    1)`` in table slices, grouped by m, and their rows are scattered once per
+    chunk of them: block sums, and two favour masks built by block exactly as
+    the sums are (``+`` on booleans is OR):
 
-    - ``F[p * k + j, t * n + a]``: some member b of block j has u_b(a) < 0,
-      and set at the own block when enter-denied is requested;
+    - ``F[p, j, a, t]``: some member b of block j has u_b(a) < 0 in game t,
+      set at the own block (read by enter-denied only);
     - ``G``: the same with u_b(a) > 0 (``own_fin`` is ``G`` at the own block).
 
-    Sums, ``F`` and ``G`` are built only when a requested concept reads them.
-    A batch that is not square or has a nonzero diagonal raises ``ValueError``.
+    Each is built only when a requested concept reads it.  Per chunk, the
+    breach rule of ``stability.agent_breaches`` (see ``_allowed_children``)
+    rules children out from the prefixes' own rows: an agent of the prefix
+    that fails at its own block, or at two other blocks, fails in every child
+    but the one that joins its own block, and one that fails at one other
+    block j in every child but that one and the one that joins j.  A child
+    is also skipped where
+    every concept is already settled for its game and block count, since
+    existence is an OR.  Only the other (prefix, game, child) triples are
+    built and decided, exactly, by ``agent_verdicts``: each child copies its
+    prefix's rows and adds the last agent to one of them.  So each block sum
+    starts at 0.0 and adds its members in ascending order, the order
+    ``check`` sums in, and the rule compares the very floats the verdicts do.
+    A batch that is not square, has a nonzero diagonal or more than 16 agents
+    (a child is one bit of a 16-bit word) raises ``ValueError``.
     """
     T, n, n2 = games.shape
     if n != n2:
         raise ValueError("games must be square")
+    if n > 16:
+        raise ValueError(f"existence_by_k takes at most 16 agents, not {n}")
     if games[:, np.arange(n), np.arange(n)].any():
         raise ValueError("games must have a zero diagonal")
     exists = {c: np.zeros((T, n + 1), dtype=bool) for c in concepts}
@@ -364,54 +410,44 @@ def existence_by_k(games: np.ndarray, concepts) -> dict[Concept, np.ndarray]:
     if T == 0 or not exists:
         return exists
     wanted = set(exists)
-    TN = T * n
-    # per_agent[key][b] is what agent b adds to its block's row, for every
-    # (game, agent a) pair, agent fastest: u_a(b) to the sums, u_b(a) < 0 to
-    # F and u_b(a) > 0 to G.
+    # per_agent[key][b, a, t] is what agent b adds to its block's row for agent
+    # a in game t: u_a(b) to the sums, u_b(a) < 0 to F and u_b(a) > 0 to G.
     per_agent = {}
     if wanted & _NEEDS_S:
-        per_agent["S"] = np.ascontiguousarray(games.transpose(2, 0, 1)).reshape(n, TN)
+        per_agent["S"] = np.ascontiguousarray(games.transpose(2, 1, 0))
     if wanted & _NEEDS_F:
-        per_agent["F"] = (games < 0).transpose(1, 0, 2).reshape(n, TN)
+        per_agent["F"] = np.ascontiguousarray((games < 0).transpose(1, 2, 0))
     if wanted & _NEEDS_G:
-        per_agent["G"] = (games > 0).transpose(1, 0, 2).reshape(n, TN)
-    flat_agent = np.arange(TN).reshape(T, n)
-    # Every chunk's children are written to one buffer per layer, which holds
-    # the largest chunk: a fresh array per chunk would have the allocator map
-    # and fault in its pages again and again once the heap is trimmed.
-    out = {key: np.empty(max(_CHUNK, n * TN), rows.dtype) for key, rows in per_agent.items()}
+        per_agent["G"] = np.ascontiguousarray((games > 0).transpose(1, 2, 0))
+    last = {key: rows[n - 1] for key, rows in per_agent.items()}
     for table in _prefix_tables(n):
         counts = table.max(axis=1, initial=-1) + 1
         for m in np.unique(counts).tolist():
             parents = table[counts == m]
-            # A chunk of parents has m join children of m blocks each and one
-            # new-block child of m + 1; both sets fit in _CHUNK sums.
-            step = max(1, _CHUNK // (max(m, 1) * (m + 1) * TN))
+            step = max(1, _CHUNK // (max(m, 1) * n * T))
+            joins, opens = np.uint16((1 << m) - 1), np.uint16(1 << m)
             for p0 in range(0, len(parents), step):
+                # Per concept and game, the children of the block counts m and
+                # m + 1 that are not yet settled.
+                wants = {}
+                for concept, ex in exists.items():
+                    want = ~ex[:, m] * joins | ~ex[:, m + 1] * opens
+                    if want.any():
+                        wants[concept] = want
+                if not wants:
+                    break
                 lab = parents[p0:p0 + step]
-                P = len(lab)
-                block_row = np.arange(P)[:, None] * m + lab
-                base = {}
-                for key, rows in per_agent.items():
-                    acc = np.zeros((P * m, TN), rows.dtype)
-                    for b in range(n - 1):
-                        acc[block_row[:, b]] += rows[b]
-                    base[key] = acc.reshape(P, 1, m, TN)
-                # Join children, ``width`` targets per parent per chunk: all m
-                # of them unless one parent's m·m·T·n sums exceed _CHUNK.
-                width = max(1, _CHUNK // (P * max(m, 1) * TN))
-                for c0 in range(0, m, width):
-                    w = min(width, m - c0)
-                    child_lab = np.empty((P, w, n), np.int8)
-                    child_lab[:, :, :-1] = lab[:, None]
-                    child_lab[:, :, -1] = np.arange(c0, c0 + w)
-                    children = {key: _join_children(acc, per_agent[key][n - 1], c0, w, out[key])
-                                for key, acc in base.items()}
-                    _fold_verdicts(exists, children, child_lab.reshape(P * w, n), m, flat_agent)
-                child_lab = np.concatenate((lab, np.full((P, 1), m, np.int8)), axis=1)
-                children = {key: _new_block_child(acc, per_agent[key][n - 1], out[key])
-                            for key, acc in base.items()}
-                _fold_verdicts(exists, children, child_lab, m + 1, flat_agent)
+                layers = _prefix_layers(per_agent, lab, m)
+                allowed = _allowed_children(layers, lab, wants)
+                # Survivors by child, so the join children (k = m) come first.
+                c, p, t = np.nonzero(allowed >> np.arange(m + 1, dtype=np.uint16)[:, None, None] & 1)
+                c = c.astype(np.int8)
+                opened = np.searchsorted(c, m)
+                for k, q0, q1 in ((m, 0, opened), (m + 1, opened, len(c))):
+                    batch = max(1, _CHUNK // (max(k, 1) * n))
+                    for q in range(q0, q1, batch):
+                        q = slice(q, min(q + batch, q1))
+                        _decide(exists, wants, layers, last, lab, p[q], t[q], c[q], k)
     return exists
 
 

@@ -4,11 +4,13 @@ Seven concepts are supported, all driven by single-agent deviations or by
 per-agent denial conditions.  ``check`` is the witness-producing reference
 implementation.  ``agent_verdicts`` is the one fast encoding of the per-agent
 rules, from block sums and favour masks; every batched path reduces its
-verdicts.  ``concept_profile``, the hot path for Monte Carlo campaigns,
-evaluates all seven concepts for one partition from tiles of ``_TILE_ROWS``
-agent rows, read only while they can still change a verdict, in
-O(``_TILE_ROWS`` * n) extra memory; its sums are bit-identical to a single
-``np.add.reduceat`` over the table.
+verdicts.  ``agent_breaches`` states the same rules split by block, for
+callers that rule partitions out before they build them.
+``concept_profile``, the hot path for Monte Carlo campaigns, evaluates all
+seven concepts for one partition from tiles of ``_TILE_ROWS`` agent rows,
+read only while they can still change a verdict, in O(``_TILE_ROWS`` * n)
+extra memory; its sums are bit-identical to a single ``np.add.reduceat``
+over the table.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ __all__ = [
     "check",
     "concept_profile",
     "agent_verdicts",
+    "agent_breaches",
     "implied_concepts",
     "IMPLICATIONS",
 ]
@@ -246,6 +249,55 @@ def agent_verdicts(S: np.ndarray, own, F: np.ndarray | None = None,
         out[Concept.CONTRACTUAL_NASH] = own_fin | out[Concept.NASH]
     if Concept.CONTRACTUAL_INDIVIDUAL in wanted:
         out[Concept.CONTRACTUAL_INDIVIDUAL] = own_fin | out[Concept.INDIVIDUAL]
+    return {c: out[c] for c in concepts}
+
+
+def agent_breaches(S: np.ndarray | None, own, F: np.ndarray | None = None,
+                   own_fin: np.ndarray | None = None, *,
+                   concepts) -> dict[Concept, tuple[np.ndarray | None, np.ndarray | None]]:
+    """Why each agent fails ``concepts``: ``(O, B)`` per concept, the same rules
+    as ``agent_verdicts`` split by block, so that its verdict is
+    ``~O & ~B.any(axis=1)``.
+
+    ``O`` (the agent's axes) is the own-block failure and ``B`` (``S``'s axes)
+    the per-block breaches; ``None`` stands for all False.  Arguments are as
+    for ``agent_verdicts``, and enter-denied again needs ``F`` True at the own
+    block.  With ``own`` = S at the own block, no rule breaches there:
+
+    - Nash: ``O`` = own < 0, ``B`` = S > own; IS also needs the block not
+      flagged in ``F``; IR is ``O`` alone;
+    - CNS and CIS: Nash and IS, both parts only where ``own_fin`` is False;
+    - enter-denied: ``B`` = not ``F``; exit-denied: ``O`` = not ``own_fin``.
+
+    So a breach lives in one block and ``O`` in the own block: an agent with
+    ``O``, or with ``B`` in two blocks, fails in every partition that keeps
+    its own block and all other blocks but one as they are, and an agent with
+    ``B`` in block j alone fails in every one that keeps its own block and j.
+    """
+    wanted = set(concepts)
+    poor = better = open_ = free = None
+    if wanted - {Concept.ENTER_DENIED, Concept.EXIT_DENIED}:
+        poor = own < 0
+    if wanted & {Concept.NASH, Concept.INDIVIDUAL, Concept.CONTRACTUAL_NASH,
+                 Concept.CONTRACTUAL_INDIVIDUAL}:
+        better = S > (own[:, None] if np.ndim(own) else own)
+    if wanted & {Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL}:
+        open_ = better & ~F
+    if wanted & {Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL,
+                 Concept.EXIT_DENIED}:
+        free = ~own_fin
+    out = {
+        Concept.NASH: (poor, better),
+        Concept.INDIVIDUAL: (poor, open_),
+        Concept.INDIVIDUALLY_RATIONAL: (poor, None),
+        Concept.EXIT_DENIED: (free, None),
+    }
+    if Concept.CONTRACTUAL_NASH in wanted:
+        out[Concept.CONTRACTUAL_NASH] = (poor & free, better & free[:, None])
+    if Concept.CONTRACTUAL_INDIVIDUAL in wanted:
+        out[Concept.CONTRACTUAL_INDIVIDUAL] = (poor & free, open_ & free[:, None])
+    if Concept.ENTER_DENIED in wanted:
+        out[Concept.ENTER_DENIED] = (None, ~F)
     return {c: out[c] for c in concepts}
 
 

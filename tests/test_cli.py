@@ -260,6 +260,15 @@ class TestMc:
 
     def test_missing_n_is_input_error(self, capsys):
         assert main(["mc", "--kind", "mc-grand", "--trials", "5"]) == 2
+        assert "mc --kind mc-grand needs --n" in capsys.readouterr().err
+
+    def test_lemma_verify_needs_no_n(self, tmp_path, capsys):
+        # lemma-verify reads no n, so --n is neither needed nor read.
+        argv = ["mc", "--kind", "lemma-verify", "--trials", "3000", "--seed", "11",
+                "--m", "1,3", "--k", "1,2"]
+        assert main([*argv, "--out", str(tmp_path / "bare.csv")]) == 0
+        assert main([*argv, "--n", "1", "--out", str(tmp_path / "n1.csv")]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "n1.csv").read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ("--kind", "bounds-compare", "--n", "6", "--shape-k", "2,2"),
@@ -325,6 +334,8 @@ ALL_CONCEPTS = ("nash,individual,contractual-nash,contractual-individual,"
     ("oracle_existence_n89_seed23", ("--kind", "oracle-existence", "--n", "8,9",
                                      "--concepts", "nash,individual,contractual-nash",
                                      "--trials", "60", "--seed", "23")),
+    ("oracle_existence_all_seed29", ("--kind", "oracle-existence", "--n", "6,7,8",
+                                     "--trials", "40", "--seed", "29", "--concepts", ALL_CONCEPTS)),
 ])
 def test_campaign_export_is_pinned(tmp_path, capsys, name, argv):
     """Fixed-seed exports of the batched campaign kinds equal the committed CSVs byte for byte.

@@ -34,7 +34,6 @@ from hedonic_lab.oracle import (
     enumerate_partitions,
     exists_stable,
     rgs_strings,
-    stirling2,
 )
 from hedonic_lab.sampling import SeedSpec, UtilityDistribution, derive_trial_seed, sample_game
 from hedonic_lab.stability import (IMPLICATIONS, Concept, agent_verdicts, check, concept_profile,
@@ -81,17 +80,32 @@ def existence_by_k_scatter(games: np.ndarray, concepts) -> dict[Concept, np.ndar
     return exists
 
 
-def count_folds(monkeypatch) -> collections.Counter:
-    """Count, per block count k, the chunks whose verdicts ``existence_by_k`` ORs in."""
-    folds = collections.Counter()
-    fold = experiments_mod._fold_verdicts
+class Units:
+    """What ``existence_by_k`` did, per block count k: the prefix chunks that
+    could have children of k blocks (k = m, m + 1), and the ``_decide`` units
+    whose verdicts it ORs in, their concepts and children."""
 
-    def counting(exists, layers, lab, k, flat_agent):
-        folds[k] += 1
-        fold(exists, layers, lab, k, flat_agent)
+    def __init__(self, monkeypatch):
+        self.chunks = collections.Counter()
+        self.decides = collections.Counter()
+        self.children = collections.Counter()
+        self.log = []  # (chunk number, k, children, concept values) per unit
+        self.chunk = 0
+        layers, decide = experiments_mod._prefix_layers, experiments_mod._decide
 
-    monkeypatch.setattr(experiments_mod, "_fold_verdicts", counting)
-    return folds
+        def counting_layers(per_agent, lab, m):
+            self.chunk += 1
+            self.chunks.update((m, m + 1))
+            return layers(per_agent, lab, m)
+
+        def counting_decide(exists, concepts, layers, last, lab, p, t, c, k):
+            self.decides[k] += 1
+            self.children[k] += len(p)
+            self.log.append((self.chunk, k, len(p), {c.value for c in concepts}))
+            decide(exists, concepts, layers, last, lab, p, t, c, k)
+
+        monkeypatch.setattr(experiments_mod, "_prefix_layers", counting_layers)
+        monkeypatch.setattr(experiments_mod, "_decide", counting_decide)
 
 
 def integer_games(seed: int, T: int, n: int) -> np.ndarray:
@@ -260,15 +274,26 @@ class TestOracleExistence:
         assert np.array_equal(nash_existence_by_k(games), ref)
 
     def test_engine_matches_reference_across_chunks(self, monkeypatch):
-        # Each middle k spans several block-sum chunks, so a chunk that
+        # Each middle k spans several prefix chunks, so a chunk that
         # overwrote rather than OR-ed the earlier chunks' verdicts would show.
         T, n = 60, 8
         games = np.stack([sample_game(n, D, SeedSpec(7100 + t)).utilities for t in range(T)])
-        folds = count_folds(monkeypatch)
+        monkeypatch.setattr(experiments_mod, "_CHUNK", 1 << 14)
+        units = Units(monkeypatch)
         ex = nash_existence_by_k(games)
-        assert all(folds[k] >= 3 for k in (2, 3, 4, 5)), folds
+        assert all(units.chunks[k] >= 3 for k in (2, 3, 4, 5)), units.chunks
         assert np.array_equal(ex, self.reference_by_k(games))
         assert ex[:, 2:6].sum() >= 5
+
+    def test_nash_decides_few_children(self, monkeypatch):
+        # The breach rule leaves about 1% of the (child, game) pairs at n = 8.
+        T, n = 60, 8
+        games = np.stack([sample_game(n, D, SeedSpec(7100 + t)).utilities for t in range(T)])
+        units = Units(monkeypatch)
+        ex = nash_existence_by_k(games)
+        decided = units.children.total()
+        assert 0 < decided < 0.1 * oracle_mod.bell(n) * T, decided
+        assert np.array_equal(ex, existence_by_k_scatter(games, (Concept.NASH,))[Concept.NASH])
 
     def test_engine_edge_cases(self):
         empty = nash_existence_by_k(np.zeros((0, 4, 4)))
@@ -277,6 +302,8 @@ class TestOracleExistence:
         assert single.tolist() == [[False, True]] * 3
         with pytest.raises(ValueError):
             nash_existence_by_k(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="at most 16 agents"):
+            nash_existence_by_k(np.zeros((1, 17, 17)))
 
     def test_engine_rejects_nonzero_diagonal(self):
         # A singleton's own sum is its diagonal entry, so the Nash test's
@@ -339,13 +366,14 @@ class TestExistenceKernel:
         self.assert_matches_reference(games)
 
     def test_matches_reference_across_chunks(self, monkeypatch):
-        # k = 2..5 each span at least 3 chunks, so the favour masks and verdicts
-        # of every chunk must land in its own rows and OR into the earlier ones.
+        # k = 2..5 each span at least 3 decided units, so the favour masks and
+        # verdicts of every unit must land in its own rows and OR into the
+        # earlier ones.
         T, n = 60, 8
         games = np.stack([sample_game(n, D, SeedSpec(7600 + t)).utilities for t in range(T)])
-        folds = count_folds(monkeypatch)
+        units = Units(monkeypatch)
         self.assert_matches_reference(games)
-        assert all(folds[k] >= 3 for k in (2, 3, 4, 5)), folds
+        assert all(units.decides[k] >= 3 for k in (2, 3, 4, 5)), units.decides
 
     @staticmethod
     def assert_matches_scatter(games: np.ndarray, concepts=tuple(Concept)) -> None:
@@ -367,16 +395,30 @@ class TestExistenceKernel:
         monkeypatch.setattr(experiments_mod, "_RGS_ROWS", slice_rows)
         self.assert_matches_scatter(games)
 
-    def test_splits_join_children_across_chunks(self, monkeypatch):
-        # Room for two 5-block children per chunk: one parent per chunk, and
-        # the join children of a prefix with m >= 4 blocks take several chunks.
+    def test_splits_survivors_across_units(self, monkeypatch):
+        # Room for two 5-block children per unit: one prefix per chunk, and the
+        # surviving children of one chunk take several units.
         T, n = 30, 6
         games = integer_games(670, T, n)
-        monkeypatch.setattr(experiments_mod, "_CHUNK", 2 * (n - 1) * T * n)
-        folds = count_folds(monkeypatch)
+        monkeypatch.setattr(experiments_mod, "_CHUNK", 2 * 5 * n)
+        units = Units(monkeypatch)
         self.assert_matches_scatter(games)
-        # k = 4: two chunks per 4-block prefix, one per 3-block prefix.
-        assert folds[4] == 2 * stirling2(n - 1, 4) + stirling2(n - 1, 3), folds
+        assert all(size <= max(1, 10 // k) for _, k, size, _ in units.log)
+        per_chunk = collections.Counter((chunk, k) for chunk, k, _, _ in units.log)
+        assert max(per_chunk[chunk, k] for chunk, k in per_chunk if k == 4) >= 3, per_chunk
+
+    def test_settled_concept_drops_out(self, monkeypatch):
+        # Every game has a CIS partition at each k = 1..5, so CIS drops out of
+        # the decided units once those are found, while Nash goes on; the
+        # arrays still equal the scatter's.
+        T, n = 16, 8
+        games = np.stack([sample_game(n, D, SeedSpec(9100 + t)).utilities for t in range(T)])
+        concepts = (Concept.NASH, Concept.CONTRACTUAL_INDIVIDUAL)
+        units = Units(monkeypatch)
+        self.assert_matches_scatter(games, concepts)
+        cis = Concept.CONTRACTUAL_INDIVIDUAL.value
+        assert any(cis in decided for *_, decided in units.log)
+        assert any(decided == {Concept.NASH.value} for *_, decided in units.log), units.log
 
     @pytest.mark.parametrize("concepts", [(Concept.ENTER_DENIED,), (Concept.EXIT_DENIED,),
                                           (Concept.ENTER_DENIED, Concept.EXIT_DENIED)])

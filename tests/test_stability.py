@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -23,6 +24,8 @@ from hedonic_lab.stability import (
     _TILE_ROWS,
     Concept,
     Verdict,
+    agent_breaches,
+    agent_verdicts,
     check,
     concept_profile,
     implied_concepts,
@@ -292,6 +295,107 @@ class TestProfileAgainstReference:
             for concept in (Concept.NASH, Concept.INDIVIDUAL,
                             Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
                 assert check(g, p, concept).stable == (first_witness(g, p, concept) is None)
+
+
+def agent_stays(game, partition, a, concept):
+    """Definitional verdict of one agent: nothing ``concept`` counts lets ``a`` move or be denied."""
+    blocks = partition.coalitions
+    own_idx = partition.index_of(a)
+    kept = bool(favor_in(game, blocks[own_idx], a))
+    others = [block for j, block in enumerate(blocks) if j != own_idx]
+    if concept is Concept.EXIT_DENIED:
+        return kept
+    if concept is Concept.ENTER_DENIED:
+        return all(favor_out(game, block, a) for block in others)
+    if kept and concept in (Concept.CONTRACTUAL_NASH, Concept.CONTRACTUAL_INDIVIDUAL):
+        return True
+    current = coalition_utility(game, a, blocks[own_idx])
+    if current < 0:  # IR fails, and a fresh singleton is better
+        return False
+    if concept is Concept.INDIVIDUALLY_RATIONAL:
+        return True
+    consent = concept in (Concept.INDIVIDUAL, Concept.CONTRACTUAL_INDIVIDUAL)
+    return not any(coalition_utility(game, a, block) > current
+                   and not (consent and favor_out(game, block, a)) for block in others)
+
+
+class TestAgentBreaches:
+    """``agent_breaches`` splits ``agent_verdicts`` by block, and rules children out."""
+
+    @staticmethod
+    def fails(O, B, shape):
+        out = np.zeros(shape, dtype=bool)
+        if O is not None:
+            out |= O
+        if B is not None:
+            out |= B.any(axis=1)
+        return out
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer"])
+    def test_verdict_is_no_breach(self, kind):
+        rng = np.random.default_rng(41)
+        R, k, A = 300, 4, 5
+        if kind == "uniform":
+            S, own = rng.uniform(-2, 2, (R, k, A)), rng.uniform(-2, 2, (R, A))
+        else:  # ties between sums, and zero sums
+            S = rng.integers(-2, 3, (R, k, A)).astype(float)
+            own = rng.integers(-2, 3, (R, A)).astype(float)
+            own[::2] = S[::2, 0]  # own = S at an own block
+        F = rng.random((R, k, A)) < 0.4
+        own_fin = rng.random((R, A)) < 0.5
+        verdicts = agent_verdicts(S, own, F, own_fin, concepts=tuple(Concept))
+        breaches = agent_breaches(S, own, F, own_fin, concepts=tuple(Concept))
+        assert list(breaches) == list(Concept)
+        for c in Concept:
+            assert np.array_equal(verdicts[c], ~self.fails(*breaches[c], (R, A))), c
+            assert verdicts[c].any() and not verdicts[c].all(), c
+        denial = (Concept.ENTER_DENIED, Concept.EXIT_DENIED)
+        verdicts = agent_verdicts(None, 0.0, F, own_fin, concepts=denial)
+        for c, (O, B) in agent_breaches(None, 0.0, F, own_fin, concepts=denial).items():
+            assert np.array_equal(verdicts[c], ~self.fails(O, B, (R, A))), c
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer"])
+    def test_breaches_rule_children_out(self, kind):
+        # Prefix agents of a partition of agents 0..n-2: one that fails at its
+        # own block or breaches at two blocks fails in every child but the one
+        # where agent n-1 joins its block; one that breaches at one block j
+        # fails in every child but that one and the one that joins j.
+        checked = collections.Counter()
+        for trial in range(40):
+            n = 4 + trial % 4
+            game = (sample_game(n, D, SeedSpec(900 + trial)) if kind == "uniform"
+                    else integer_game(n, 900 + trial))
+            U = game.utilities
+            rng = np.random.default_rng(trial)
+            lab = Partition.from_labels(rng.integers(0, n - 1, size=n - 1)).labels()
+            m, prefix = int(lab.max()) + 1, np.arange(n - 1)
+            S, F, G = np.zeros((m, n)), np.zeros((m, n), bool), np.zeros((m, n), bool)
+            for b in range(n - 1):
+                S[lab[b]] += U[:, b]
+                F[lab[b]] |= U[b] < 0
+                G[lab[b]] |= U[b] > 0
+            own, own_fin = S[lab, prefix], G[lab, prefix]
+            F[lab, prefix] = True
+            breaches = agent_breaches(S[None, :, :-1], own[None], F[None, :, :-1], own_fin[None],
+                                      concepts=tuple(Concept))
+            children = [Partition.from_labels([*lab, c]) for c in range(m + 1)]
+            for concept, (O, B) in breaches.items():
+                O = np.zeros(n - 1, bool) if O is None else O[0]
+                B = np.zeros((m, n - 1), bool) if B is None else B[0]
+                for c, child in enumerate(children):
+                    stays = [agent_stays(game, child, a, concept) for a in range(n)]
+                    assert all(stays) == check(game, child, concept).stable
+                    for a in prefix:
+                        pinned = O[a] or B[:, a].sum() >= 2
+                        if not (pinned or B[:, a].any()):
+                            continue
+                        allowed = {lab[a]} if pinned else {lab[a], np.argmax(B[:, a])}
+                        if c not in allowed:
+                            assert not stays[a], (trial, concept, a, c)
+                            checked[concept, pinned] += 1
+        assert all(checked[c, True] for c in Concept), checked
+        with_blocks = set(Concept) - {Concept.INDIVIDUALLY_RATIONAL, Concept.EXIT_DENIED}
+        assert all(checked[c, False] for c in with_blocks), checked
 
 
 class TestProfileAcrossTiles:
